@@ -5,13 +5,11 @@ signal arm contains a plane-mirror etalon, and predicts the dip/peak/flat
 character of each recurrent feature from a firing-scheme enumeration.
 """
 
-from .engine import (CoincidenceTrace, ConvergenceReport, DelaySweep,
-                     FrequencyGrid, baseline_rate, coincidence_rate,
-                     convergence_report, default_grid, interference_term,
-                     sweep_direct, sweep_fft)
+from .engine import (CoincidenceTrace, ConvergenceReport, DelaySweep, Engine,
+                     FrequencyGrid, convergence_report, default_grid)
 from .errors import ConfigError, NumericalConsistencyError, ResolutionError
-from .feynman import (Feature, FeaturePrediction, FiringScheme,
-                      enumerate_schemes, predict_trace_skeleton, relative_rate)
+from .feynman import (Feature, FeaturePrediction, predict_trace_skeleton,
+                      relative_rate)
 from .spectral import (EtalonSpec, FilterSpec, JointSpectralAmplitude,
                        OpticalSetup, PhaseMatchingModel, PhaseMatchingSpec,
                        PumpSpec, build_jsa, etalon_from_geometry,
@@ -19,12 +17,10 @@ from .spectral import (EtalonSpec, FilterSpec, JointSpectralAmplitude,
                        pump_envelope)
 
 __all__ = [
-    "CoincidenceTrace", "ConvergenceReport", "DelaySweep", "FrequencyGrid",
-    "baseline_rate", "coincidence_rate", "convergence_report", "default_grid",
-    "interference_term", "sweep_direct", "sweep_fft",
+    "CoincidenceTrace", "ConvergenceReport", "DelaySweep", "Engine", "FrequencyGrid",
+    "convergence_report", "default_grid",
     "ConfigError", "NumericalConsistencyError", "ResolutionError",
-    "Feature", "FeaturePrediction", "FiringScheme", "enumerate_schemes",
-    "predict_trace_skeleton", "relative_rate",
+    "Feature", "FeaturePrediction", "predict_trace_skeleton", "relative_rate",
     "EtalonSpec", "FilterSpec", "JointSpectralAmplitude", "OpticalSetup",
     "PhaseMatchingModel", "PhaseMatchingSpec", "PumpSpec", "build_jsa",
     "etalon_from_geometry", "etalon_transfer", "filter_amplitude",

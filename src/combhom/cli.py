@@ -14,12 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import engine, feynman, oracles
+from . import checks, engine, feynman
 from .config import (ENGINE_CHOICES, FORMAT_CHOICES, PRESET_NAMES, RunConfig,
                      load_config, preset_config)
-from .engine import CoincidenceTrace, DelaySweep, FrequencyGrid, sweep_direct, sweep_fft
+from .engine import CoincidenceTrace, DelaySweep, Engine, FrequencyGrid
 from .errors import ConfigError, NumericalConsistencyError
-from .spectral import C_UM_PER_PS, etalon_from_geometry, etalon_transfer
+from .spectral import C_UM_PER_PS
 
 
 def _format_csv(trace: CoincidenceTrace) -> str:
@@ -29,29 +29,19 @@ def _format_csv(trace: CoincidenceTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metadata(config: RunConfig, trace: CoincidenceTrace, extra: dict) -> dict:
-    meta = {"preset": config.preset, "engine": config.engine,
-            "baseline_rate": trace.baseline_rate}
-    meta.update(trace.metadata)
-    meta.update(extra)
-    return meta
-
-
 def run_sweep(config: RunConfig, check_convergence: bool = True) -> CoincidenceTrace:
     """Run the configured sweep and write the trace plus sidecar metadata."""
     extra: dict = {}
-    if config.engine == "direct":
-        trace = sweep_direct(config.setup, config.grid, config.sweep)
-    elif config.engine == "fft":
-        trace = sweep_fft(config.setup, config.grid, config.sweep)
-    else:  # both: fft result, recorded against the direct reference
-        direct = sweep_direct(config.setup, config.grid, config.sweep)
-        trace = sweep_fft(config.setup, config.grid, config.sweep)
+    eng = Engine(config.setup, config.grid)
+    trace = eng.sweep(config.sweep, direct=config.engine == "direct")
+    if config.engine == "both":  # fft result, recorded against the direct reference
+        direct = eng.sweep(config.sweep, direct=True)
         delta = float(np.abs(trace.normalized_rate - direct.normalized_rate).max())
         extra["direct_fft_sup_delta"] = delta
+    del eng  # the refined grids of the convergence report need the memory
 
     if check_convergence:
-        report = engine.convergence_report(config.setup, config.sweep, config.grid)
+        report = engine.convergence_report(config.setup, config.sweep, config.grid, trace)
         extra["convergence"] = {"delta_points": report.delta_points,
                                 "delta_span": report.delta_span,
                                 "tolerance": report.tolerance,
@@ -61,7 +51,8 @@ def run_sweep(config: RunConfig, check_convergence: bool = True) -> CoincidenceT
     else:
         extra["convergence"] = "skipped"
 
-    meta = _metadata(config, trace, extra)
+    meta = {"preset": config.preset, "engine": config.engine,
+            "baseline_rate": trace.baseline_rate, **trace.metadata, **extra}
     if config.out_path:
         if config.out_format == "csv":
             with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -94,113 +85,10 @@ def run_predict(delta_phi: float, reflectivity: float, coherence_time: float,
     return predictions
 
 
-def _check_hom_closed_form(quick: bool):
-    """Engine against the closed-form no-etalon HOM dip."""
-    hom = preset_config("hom")
-    grid = hom.grid if not quick else FrequencyGrid(1024, hom.grid.span)
-    sweep = DelaySweep(-3.0, 3.0, 241)
-    trace = sweep_fft(hom.setup, grid, sweep)
-    ref = oracles.hom_closed_form(hom.setup, trace.tau)
-    delta = float(np.abs(trace.normalized_rate - ref).max())
-    return "hom_closed_form", delta < 1e-3, f"sup delta {delta:.2e}"
-
-
-def _check_classifications(quick: bool):
-    """Engine feature signs at tau_j against the firing-scheme classifications.
-
-    Uses a long pump (scheme amplitudes stay coherent) and the standard etalon,
-    the regime where the simplified model applies.
-    """
-    from dataclasses import replace
-
-    base = preset_config("fig3a").setup
-    base = replace(base, pump=replace(base.pump, duration_fwhm=20.0))
-    grid = FrequencyGrid(1024 if quick else 2048,
-                         5.0 * base.filter.intensity_sigma)
-    t_round = base.etalon.round_trip_time
-    j_top = 2 if quick else 4
-    mismatches = []
-    for dphi in (0.0, 0.5 * math.pi, math.pi):
-        setup = replace(base, etalon=replace(base.etalon, tune_phase=dphi))
-        arrays = engine._EngineArrays.build(setup, grid)
-        for j in range(j_top + 1):
-            n = 1.0 - arrays.interference(0.5 * j * t_round) / arrays.baseline
-            predicted = feynman.relative_rate(
-                j, dphi, base.etalon.reflectivity,
-                pump_coherence_time=base.pump.coherence_time,
-                round_trip_time=t_round).classification
-            if predicted is feynman.Feature.FLAT:
-                ok = abs(n - 1.0) < 0.05
-            elif predicted is feynman.Feature.DIP:
-                ok = n < 1.0 - 0.01
-            else:
-                ok = n > 1.0 + 0.01
-            if not ok:
-                mismatches.append(f"j={j} dphi={dphi:.3f}: "
-                                  f"norm {n:.4f} vs {predicted.value}")
-    detail = "; ".join(mismatches) if mismatches else f"j <= {j_top}, all phases agree"
-    return "engine_feynman_signs", not mismatches, detail
-
-
-def _verify_checks(quick: bool):
-    """Yield (name, passed, detail) for every oracle check."""
-    # Etalon geometry: 100 um spacing gives the 1500 GHz comb.
-    et = etalon_from_geometry(100.0, 0.0, 0.9)
-    fsr_thz = 1.0 / et.round_trip_time
-    yield ("fsr_from_geometry", abs(fsr_thz / 1.5 - 1.0) < 5e-3,
-           f"FSR {fsr_thz:.5f} THz vs 1.5 THz")
-
-    # Anti-resonance magnitude is (1-R)/(1+R) exactly.
-    omega0 = 2396.0
-    anti = math.pi / et.round_trip_time  # half an FSR from a transmission maximum
-    mag = abs(etalon_transfer(np.array([anti]), et, omega0)[0])
-    expected = (1.0 - et.reflectivity) / (1.0 + et.reflectivity)
-    yield ("anti_resonance_magnitude", abs(mag - expected) < 1e-12,
-           f"|f_e| {mag:.12f} vs {expected:.12f}")
-
-    # Parseval: spectral mean of |f_e|^2 equals the geometric intensity sum.
-    mean_i = oracles.mean_transfer_intensity(et, omega0)
-    yield ("parseval_mean_intensity", abs(mean_i - expected) < 1e-6,
-           f"mean |f_e|^2 {mean_i:.9f} vs {expected:.9f}")
-
-    # Firing-scheme model against literal enumeration.
-    worst = 0.0
-    for j in range(9):
-        for dphi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            for r, equal in ((0.9, False), (0.5, False), (0.0, True)):
-                w = [1.0] * (j + 1) if equal else [r**m for m in range(j + 1)]
-                ref = oracles.brute_force_schemes(j, dphi, w)
-                got = feynman.relative_rate(j, dphi, r, equal_weights=equal).relative_rate
-                worst = max(worst, abs(ref - got))
-    yield ("feynman_brute_force", worst < 1e-12, f"max |delta| {worst:.2e}")
-
-    yield _check_hom_closed_form(quick)
-    yield _check_classifications(quick)
-
-    # Fast path against direct quadrature on the presets.
-    names = ("fig3a",) if quick else PRESET_NAMES
-    for name in names:
-        cfg = preset_config(name)
-        grid = cfg.grid if not quick else FrequencyGrid(1024, cfg.grid.span)
-        sweep = cfg.sweep if not quick else DelaySweep(cfg.sweep.start, cfg.sweep.end, 120)
-        direct = sweep_direct(cfg.setup, grid, sweep)
-        fast = sweep_fft(cfg.setup, grid, sweep)
-        delta = float(np.abs(fast.normalized_rate - direct.normalized_rate).max()
-                      / np.abs(direct.normalized_rate).max())
-        yield (f"fft_vs_direct_{name}", delta < 1e-6, f"rel sup delta {delta:.2e}")
-
-    # Grid convergence on the presets (full mode only; it is the slow check).
-    if not quick:
-        for name in PRESET_NAMES:
-            cfg = preset_config(name)
-            report = engine.convergence_report(cfg.setup, cfg.sweep, cfg.grid)
-            yield (f"convergence_{name}", report.passed,
-                   f"points {report.delta_points:.2e}, span {report.delta_span:.2e}")
-
-
 def run_verify(quick: bool = False, out=sys.stdout) -> int:
     failures = 0
-    for name, passed, detail in _verify_checks(quick):
+    for name, check in checks.registry(quick):
+        passed, detail = check()
         status = "PASS" if passed else "FAIL"
         out.write(f"{status} {name}: {detail}\n")
         failures += 0 if passed else 1

@@ -7,10 +7,9 @@ comments.  Unknown keys are hard errors so typos never pass silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .engine import (DEFAULT_POINTS, DEFAULT_SPAN_SIGMAS, DelaySweep,
-                     FrequencyGrid, default_grid)
+from .engine import DEFAULT_SPAN_SIGMAS, DelaySweep, FrequencyGrid, default_grid
 from .errors import ConfigError
 from .spectral import (EtalonSpec, FilterSpec, OpticalSetup, PhaseMatchingModel,
                        PhaseMatchingSpec, PumpSpec, etalon_from_geometry)
@@ -38,10 +37,6 @@ class RunConfig:
             raise ConfigError(f"engine must be one of {ENGINE_CHOICES}, got {self.engine!r}")
         if self.out_format not in FORMAT_CHOICES:
             raise ConfigError(f"format must be one of {FORMAT_CHOICES}, got {self.out_format!r}")
-        if abs(self.setup.filter_center_detuning) > self.grid.span:
-            raise ConfigError(
-                f"filter center detuning {self.setup.filter_center_detuning:.4g} rad/ps "
-                f"lies outside the grid span {self.grid.span:.4g}")
 
 
 def _fig3_setup(tune_phase: float, etalon_enabled: bool = True) -> OpticalSetup:

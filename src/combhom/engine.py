@@ -19,7 +19,6 @@ ordinary HOM dip sits at tau = 0 and recurrences at tau_j = j T / 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,13 +33,13 @@ NEGATIVE_RATE_TOL = 1e-9
 # Maximum relative sup-norm discrepancy tolerated between the fast and the
 # direct path before the fast path falls back.
 FFT_MATCH_TOL = 1e-6
+# Delays of a fast sweep spot-checked against the direct quadrature.
+FFT_CHECK_POINTS = 8
+# Largest sup-norm shift of the normalized trace a converged grid allows.
+CONVERGENCE_TOL = 1e-4
 
 DEFAULT_POINTS = 2048
 DEFAULT_SPAN_SIGMAS = 5.0
-
-# Test hook: multiplies the interference term before subtraction.  Mutating it
-# to -1 must be caught by the closed-form HOM verification.
-_CROSS_TERM_SIGN = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ class FrequencyGrid:
         if self.points_per_axis < 16 or self.points_per_axis % 2 != 0:
             raise ConfigError(
                 f"FrequencyGrid: points_per_axis must be even and >= 16, got {self.points_per_axis}")
-        if not self.span > 0:
-            raise ConfigError(f"FrequencyGrid: span must be > 0, got {self.span}")
+        if not 0 < self.span < np.inf:
+            raise ConfigError(f"FrequencyGrid: span must be finite and > 0, got {self.span}")
 
     @property
     def spacing(self) -> float:
@@ -71,11 +70,10 @@ class FrequencyGrid:
         return (np.arange(n) - 0.5 * n + 0.5) * self.spacing
 
 
-def default_grid(setup: OpticalSetup, points: int = DEFAULT_POINTS,
-                 span_sigmas: float = DEFAULT_SPAN_SIGMAS) -> FrequencyGrid:
-    """Grid spanning +-span_sigmas filter intensity standard deviations."""
+def default_grid(setup: OpticalSetup, points: int = DEFAULT_POINTS) -> FrequencyGrid:
+    """Grid spanning +-DEFAULT_SPAN_SIGMAS filter intensity standard deviations."""
     return FrequencyGrid(points_per_axis=points,
-                         span=span_sigmas * setup.filter.intensity_sigma)
+                         span=DEFAULT_SPAN_SIGMAS * setup.filter.intensity_sigma)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,9 @@ class DelaySweep:
     steps: int
 
     def __post_init__(self):
-        if not self.start < self.end:
-            raise ConfigError(f"DelaySweep: start must be < end, got [{self.start}, {self.end}]")
+        if not -np.inf < self.start < self.end < np.inf:
+            raise ConfigError(
+                f"DelaySweep: start must be < end, both finite, got [{self.start}, {self.end}]")
         if self.steps < 2:
             raise ConfigError(f"DelaySweep: steps must be >= 2, got {self.steps}")
 
@@ -105,17 +104,10 @@ class CoincidenceTrace:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _EngineArrays:
-    """Precomputed grid samples shared by every delay evaluation."""
+class Engine:
+    """The baseline and the n x n cross integrand of one (setup, grid), assembled once."""
 
-    nu: np.ndarray
-    baseline: float
-    cross: np.ndarray       # complex (n, n): full tau-independent cross integrand
-    delay_offset: float     # added to tau: half round-trip calibration
-
-    @classmethod
-    def build(cls, setup: OpticalSetup, grid: FrequencyGrid) -> "_EngineArrays":
+    def __init__(self, setup: OpticalSetup, grid: FrequencyGrid):
         if setup.etalon.enabled:
             fsr = setup.etalon.free_spectral_range
             if grid.spacing > fsr / 8.0:
@@ -129,29 +121,36 @@ class _EngineArrays:
         phi = build_jsa(setup, grid).values
 
         abs2 = np.abs(phi) ** 2
-        baseline = weight * float((f2 * np.abs(fe) ** 2) @ abs2 @ f2)
+        self.baseline = weight * float((f2 * np.abs(fe) ** 2) @ abs2 @ f2)
         del abs2
+        if not 0.0 < self.baseline < np.inf:
+            raise NumericalConsistencyError(f"baseline rate {self.baseline:.6e} is not finite and > 0")
         cross = phi * np.conj(phi.T)
         cross *= (f2 * fe)[:, None]
         cross *= (f2 * np.conj(fe))[None, :]
         cross *= weight
-        offset = 0.5 * setup.etalon.round_trip_time if setup.etalon.enabled else 0.0
-        return cls(nu=nu, baseline=baseline, cross=cross, delay_offset=offset)
+        self.grid = grid
+        self.nu = nu
+        self.cross = cross      # complex (n, n): full tau-independent cross integrand
+        # added to tau: half round-trip calibration
+        self.delay_offset = 0.5 * setup.etalon.round_trip_time if setup.etalon.enabled else 0.0
 
     def interference(self, tau: float) -> float:
         """Real part of the cross integral at one delay, with Hermiticity check."""
         phase = np.exp(-1j * self.nu * (tau + self.delay_offset))
         value = phase @ self.cross @ np.conj(phase)
-        self._check_real(value, tau)
-        return float(value.real)
-
-    def _check_real(self, value: complex, tau: float):
         if abs(value.imag) > IMAG_RESIDUE_TOL * self.baseline:
             raise NumericalConsistencyError(
                 f"interference integral is not real at tau={tau}: imag={value.imag:.3e} "
                 f"(baseline {self.baseline:.3e})")
+        return float(value.real)
 
-    def anti_diagonal_profile(self):
+    def rate(self, tau: float) -> float:
+        """R_c at one delay: baseline minus interference, clamped at round-off zero."""
+        taus = np.array([tau])
+        return float(self._trace(taus, self._direct(taus), {}).raw_rate[0])
+
+    def profile(self):
         """Collapse the cross integrand onto u = nu_s - nu_i.
 
         Returns (u, h) with h(u_k) = sum of the integrand over the diagonal of
@@ -165,100 +164,65 @@ class _EngineArrays:
         u = -offsets * spacing
         return u, h
 
+    def sweep(self, sweep: DelaySweep, direct: bool = False) -> CoincidenceTrace:
+        """The coincidence trace over a delay sweep.
 
-def baseline_rate(setup: OpticalSetup, grid: FrequencyGrid) -> float:
-    """The tau-independent term of the coincidence rate; strictly positive."""
-    return _EngineArrays.build(setup, grid).baseline
-
-
-def interference_term(setup: OpticalSetup, grid: FrequencyGrid, tau: float) -> float:
-    """The delay-dependent interference integral at a single delay."""
-    return _EngineArrays.build(setup, grid).interference(tau)
-
-
-def _clamp(raw: np.ndarray, baseline: float) -> np.ndarray:
-    floor = -NEGATIVE_RATE_TOL * baseline
-    low = raw.min()
-    if low < floor:
-        raise NumericalConsistencyError(
-            f"coincidence rate {low:.6e} below the round-off floor {floor:.3e}; "
-            f"the quadrature is inconsistent")
-    return np.where(raw < 0.0, 0.0, raw)
-
-
-def coincidence_rate(setup: OpticalSetup, grid: FrequencyGrid, tau: float) -> float:
-    """R_c at one delay: baseline minus interference, clamped at round-off zero."""
-    arrays = _EngineArrays.build(setup, grid)
-    raw = arrays.baseline - _CROSS_TERM_SIGN * arrays.interference(tau)
-    return float(_clamp(np.array([raw]), arrays.baseline)[0])
-
-
-def _trace_from_raw(tau: np.ndarray, raw: np.ndarray, baseline: float,
-                    grid: FrequencyGrid, extra: dict) -> CoincidenceTrace:
-    raw = _clamp(raw, baseline)
-    meta = {"points_per_axis": grid.points_per_axis, "span": grid.span,
-            "spacing": grid.spacing}
-    meta.update(extra)
-    return CoincidenceTrace(tau=tau, raw_rate=raw, normalized_rate=raw / baseline,
-                            baseline_rate=baseline, metadata=meta)
-
-
-def sweep_direct(setup: OpticalSetup, grid: FrequencyGrid, sweep: DelaySweep) -> CoincidenceTrace:
-    """Per-delay quadrature over the full grid; the reference path."""
-    arrays = _EngineArrays.build(setup, grid)
-    tau = sweep.delays()
-    raw = np.array([arrays.baseline - _CROSS_TERM_SIGN * arrays.interference(t) for t in tau])
-    return _trace_from_raw(tau, raw, arrays.baseline, grid, {"engine": "direct"})
-
-
-def _interference_all(arrays: _EngineArrays, tau: np.ndarray) -> np.ndarray:
-    """Interference term at every delay via the anti-diagonal profile.
-
-    For a uniform delay grid the phase sum over u is a chirp-z transform and is
-    evaluated with the FFT-based algorithm; otherwise it falls back to a dense
-    (but still collapsed, O(n_u * n_tau)) evaluation.
-    """
-    u, h = arrays.anti_diagonal_profile()
-    tau_eff = tau + arrays.delay_offset
-    du = u[1] - u[0]
-    step = np.diff(tau)
-    uniform = tau.size > 1 and np.allclose(step, step[0], rtol=0.0, atol=1e-12)
-    if uniform:
-        g = h * np.exp(-1j * (u - u[0]) * tau_eff[0])
-        spectrum = czt(g, m=tau.size, w=np.exp(-1j * du * step[0]))
-        values = (np.exp(-1j * u[0] * tau_eff) * spectrum).real
-    else:
-        values = (np.exp(-1j * np.outer(tau_eff, u)) @ h).real
-    return values
-
-
-def sweep_fft(setup: OpticalSetup, grid: FrequencyGrid, sweep: DelaySweep,
-              check_points: int = 8) -> CoincidenceTrace:
-    """Fast sweep: anti-diagonal collapse + chirp-z transform.
-
-    Spot-checks `check_points` delays against the direct path; if the relative
-    sup-norm discrepancy exceeds FFT_MATCH_TOL the whole sweep falls back to
-    the direct evaluation and the trace metadata records a warning.
-    """
-    arrays = _EngineArrays.build(setup, grid)
-    tau = sweep.delays()
-    interf = _interference_all(arrays, tau)
-    raw = arrays.baseline - _CROSS_TERM_SIGN * interf
-
-    meta = {"engine": "fft"}
-    if check_points > 0:
-        idx = np.unique(np.linspace(0, tau.size - 1, min(check_points, tau.size)).astype(int))
-        ref = np.array([arrays.baseline - _CROSS_TERM_SIGN * arrays.interference(t)
-                        for t in tau[idx]])
-        scale = max(np.abs(ref).max(), arrays.baseline)
-        mismatch = np.abs(raw[idx] - ref).max() / scale
-        meta["fft_check_mismatch"] = float(mismatch)
+        The fast path collapses the integrand (profile) and evaluates a
+        chirp-z transform.  It spot-checks FFT_CHECK_POINTS delays against the
+        direct quadrature; if the relative sup-norm discrepancy exceeds
+        FFT_MATCH_TOL the whole sweep falls back to the direct evaluation and
+        the trace metadata records it.  `direct` runs the per-delay quadrature
+        over the full grid, the reference path.
+        """
+        tau = sweep.delays()
+        if direct:
+            return self._trace(tau, self._direct(tau), {"engine": "direct"})
+        raw = self.baseline - self._interference_all(tau)
+        idx = np.unique(np.linspace(0, tau.size - 1, min(FFT_CHECK_POINTS, tau.size)).astype(int))
+        ref = self._direct(tau[idx])
+        scale = max(np.abs(ref).max(), self.baseline)
+        mismatch = float(np.abs(raw[idx] - ref).max() / scale)
         if mismatch > FFT_MATCH_TOL:
-            raw = np.array([arrays.baseline - _CROSS_TERM_SIGN * arrays.interference(t)
-                            for t in tau])
-            meta = {"engine": "direct", "fft_fallback": True,
-                    "fft_check_mismatch": float(mismatch)}
-    return _trace_from_raw(tau, raw, arrays.baseline, grid, meta)
+            return self._trace(tau, self._direct(tau), {
+                "engine": "direct", "fft_fallback": True, "fft_check_mismatch": mismatch})
+        return self._trace(tau, raw, {"engine": "fft", "fft_check_mismatch": mismatch})
+
+    def _direct(self, tau: np.ndarray) -> np.ndarray:
+        return np.array([self.baseline - self.interference(t) for t in tau])
+
+    def _interference_all(self, tau: np.ndarray) -> np.ndarray:
+        """Interference term at every delay via the anti-diagonal profile.
+
+        For a uniform delay grid the phase sum over u is a chirp-z transform and is
+        evaluated with the FFT-based algorithm; otherwise it falls back to a dense
+        (but still collapsed, O(n_u * n_tau)) evaluation.
+        """
+        u, h = self.profile()
+        tau_eff = tau + self.delay_offset
+        du = u[1] - u[0]
+        step = np.diff(tau)
+        uniform = tau.size > 1 and np.allclose(step, step[0], rtol=0.0, atol=1e-12)
+        if uniform:
+            g = h * np.exp(-1j * (u - u[0]) * tau_eff[0])
+            spectrum = czt(g, m=tau.size, w=np.exp(-1j * du * step[0]))
+            return (np.exp(-1j * u[0] * tau_eff) * spectrum).real
+        return (np.exp(-1j * np.outer(tau_eff, u)) @ h).real
+
+    def _trace(self, tau: np.ndarray, raw: np.ndarray, extra: dict) -> CoincidenceTrace:
+        """The trace of raw rates: refuses non-finite or negative ones, zeroes round-off."""
+        if not np.isfinite(raw).all():
+            raise NumericalConsistencyError("coincidence rate is not finite")
+        floor = -NEGATIVE_RATE_TOL * self.baseline
+        low = raw.min()
+        if low < floor:
+            raise NumericalConsistencyError(
+                f"coincidence rate {low:.6e} below the round-off floor {floor:.3e}; "
+                f"the quadrature is inconsistent")
+        raw = np.where(raw < 0.0, 0.0, raw)
+        meta = {"points_per_axis": self.grid.points_per_axis, "span": self.grid.span,
+                "spacing": self.grid.spacing, **extra}
+        return CoincidenceTrace(tau=tau, raw_rate=raw, normalized_rate=raw / self.baseline,
+                                baseline_rate=self.baseline, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -272,13 +236,15 @@ class ConvergenceReport:
 
 
 def convergence_report(setup: OpticalSetup, sweep: DelaySweep, grid: FrequencyGrid,
-                       tolerance: float = 1e-4) -> ConvergenceReport:
-    """Recompute the normalized trace on refined grids and report sup-norm deltas."""
-    base = sweep_fft(setup, grid, sweep).normalized_rate
+                       base: CoincidenceTrace) -> ConvergenceReport:
+    """Sup-norm shifts of `base`, the normalized trace on `grid`, under grid
+    refinement and widening; free the Engine of `grid` first to bound memory."""
     fine = FrequencyGrid(points_per_axis=2 * grid.points_per_axis, span=grid.span)
     wide = FrequencyGrid(points_per_axis=grid.points_per_axis, span=1.5 * grid.span)
-    d_points = float(np.abs(sweep_fft(setup, fine, sweep).normalized_rate - base).max())
-    d_span = float(np.abs(sweep_fft(setup, wide, sweep).normalized_rate - base).max())
+    d_points = float(np.abs(Engine(setup, fine).sweep(sweep).normalized_rate
+                            - base.normalized_rate).max())
+    d_span = float(np.abs(Engine(setup, wide).sweep(sweep).normalized_rate
+                          - base.normalized_rate).max())
     return ConvergenceReport(delta_points=d_points, delta_span=d_span,
-                             tolerance=tolerance,
-                             passed=d_points < tolerance and d_span < tolerance)
+                             tolerance=CONVERGENCE_TOL,
+                             passed=d_points < CONVERGENCE_TOL and d_span < CONVERGENCE_TOL)

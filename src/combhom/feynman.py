@@ -26,32 +26,11 @@ class Feature(Enum):
 
 
 @dataclass(frozen=True)
-class FiringScheme:
-    j: int
-    m: int
-    phase_difference: float        # (j - 2m) * delta_phi
-    weight_pair: tuple[float, float]  # ((1-R) R^m, (1-R) R^(j-m))
-
-
-@dataclass(frozen=True)
 class FeaturePrediction:
     j: int
     relative_rate: float
     classification: Feature
     pump_coherence_factor: float
-
-
-def enumerate_schemes(j: int, delta_phi: float, reflectivity: float) -> list[FiringScheme]:
-    """All j+1 firing schemes at delay index j."""
-    if j < 0:
-        raise ConfigError(f"delay index must be >= 0, got {j}")
-    if not 0.0 <= reflectivity < 1.0:
-        raise ConfigError(f"reflectivity must lie in [0, 1), got {reflectivity}")
-    t = 1.0 - reflectivity
-    return [FiringScheme(j=j, m=m,
-                         phase_difference=(j - 2 * m) * delta_phi,
-                         weight_pair=(t * reflectivity**m, t * reflectivity**(j - m)))
-            for m in range(j + 1)]
 
 
 def coherence_factor(j: int, round_trip_time: float, pump_coherence_time: float) -> float:
@@ -65,8 +44,7 @@ def coherence_factor(j: int, round_trip_time: float, pump_coherence_time: float)
 def relative_rate(j: int, delta_phi: float, reflectivity: float,
                   pump_coherence_time: float = math.inf,
                   round_trip_time: float = 1.0,
-                  equal_weights: bool = False,
-                  flat_tolerance: float = FLAT_BAND_TOLERANCE) -> FeaturePrediction:
+                  equal_weights: bool = False) -> FeaturePrediction:
     """Relative coincidence rate at tau_j and its dip/peak/flat character.
 
     rate = 1 - gamma_j * [2 sum_m w_m w_{j-m} cos((j-2m) delta_phi)]
@@ -87,9 +65,9 @@ def relative_rate(j: int, delta_phi: float, reflectivity: float,
                 for m in range(j + 1))
     norm = sum(weights[m] ** 2 + weights[j - m] ** 2 for m in range(j + 1))
     rate = 1.0 - gamma * cross / norm
-    if rate < 1.0 - flat_tolerance:
+    if rate < 1.0 - FLAT_BAND_TOLERANCE:
         kind = Feature.DIP
-    elif rate > 1.0 + flat_tolerance:
+    elif rate > 1.0 + FLAT_BAND_TOLERANCE:
         kind = Feature.PEAK
     else:
         kind = Feature.FLAT

@@ -18,6 +18,7 @@ from .spectral import (EtalonSpec, FilterSpec, OpticalSetup, PhaseMatchingModel,
                        etalon_transfer)
 
 MAX_BRUTE_FORCE_INDEX = 12
+PARSEVAL_POINTS = 1 << 16
 
 
 def hom_closed_form_params(setup: OpticalSetup) -> tuple[float, float]:
@@ -148,11 +149,10 @@ def geometric_intensity_sum(reflectivity: float) -> float:
     return (1.0 - reflectivity) / (1.0 + reflectivity)
 
 
-def mean_transfer_intensity(etalon: EtalonSpec, center_frequency: float,
-                            n_points: int = 1 << 16) -> float:
+def mean_transfer_intensity(etalon: EtalonSpec, center_frequency: float) -> float:
     """Numerical mean of |f_e|^2 over one free spectral range (Parseval check)."""
     fsr = etalon.free_spectral_range
-    nu = (np.arange(n_points) + 0.5) / n_points * fsr
+    nu = (np.arange(PARSEVAL_POINTS) + 0.5) / PARSEVAL_POINTS * fsr
     return float(np.mean(np.abs(etalon_transfer(nu, etalon, center_frequency)) ** 2))
 
 

@@ -42,10 +42,11 @@ class PumpSpec:
     duration_fwhm: float
 
     def __post_init__(self):
-        if not self.center_wavelength > 0:
-            raise ConfigError(f"PumpSpec: center_wavelength must be > 0, got {self.center_wavelength}")
-        if not self.duration_fwhm > 0:
-            raise ConfigError(f"PumpSpec: duration_fwhm must be > 0, got {self.duration_fwhm}")
+        if not 0 < self.center_wavelength < math.inf:
+            raise ConfigError(
+                f"PumpSpec: center_wavelength must be finite and > 0, got {self.center_wavelength}")
+        if not 0 < self.duration_fwhm < math.inf:
+            raise ConfigError(f"PumpSpec: duration_fwhm must be finite and > 0, got {self.duration_fwhm}")
 
     @property
     def spectral_sigma(self) -> float:
@@ -128,8 +129,11 @@ class EtalonSpec:
     def __post_init__(self):
         if not 0.0 <= self.reflectivity < 1.0:
             raise ConfigError(f"EtalonSpec: reflectivity must lie in [0, 1), got {self.reflectivity}")
-        if not self.round_trip_time > 0:
-            raise ConfigError(f"EtalonSpec: round_trip_time must be > 0, got {self.round_trip_time}")
+        if not 0 < self.round_trip_time < math.inf:
+            raise ConfigError(
+                f"EtalonSpec: round_trip_time must be finite and > 0, got {self.round_trip_time}")
+        if not math.isfinite(self.tune_phase):
+            raise ConfigError(f"EtalonSpec: tune_phase must be finite, got {self.tune_phase}")
         object.__setattr__(self, "tune_phase", self.tune_phase % (2.0 * math.pi))
 
     @property
@@ -151,7 +155,11 @@ def etalon_from_geometry(spacing_um: float, incidence_angle: float = 0.0,
 
 @dataclass(frozen=True)
 class OpticalSetup:
-    """Complete parameterization of one simulation run."""
+    """Complete parameterization of one simulation run.
+
+    The engine centres the filter and the pump on the SPDC centre, so theirs
+    must match it to 1e-9 relative.
+    """
 
     pump: PumpSpec
     phase_matching: PhaseMatchingSpec
@@ -163,17 +171,17 @@ class OpticalSetup:
         if not self.spdc_center_wavelength > 0:
             raise ConfigError(
                 f"OpticalSetup: spdc_center_wavelength must be > 0, got {self.spdc_center_wavelength}")
+        for spec, centre in ((self.filter, self.spdc_center_wavelength),
+                             (self.pump, 0.5 * self.spdc_center_wavelength)):
+            if not math.isclose(spec.center_wavelength, centre, rel_tol=1e-9):
+                raise ConfigError(
+                    f"OpticalSetup: {type(spec).__name__} center_wavelength "
+                    f"{spec.center_wavelength} nm must be {centre} nm, set by spdc_center_wavelength")
 
     @property
     def center_frequency(self) -> float:
         """Degenerate center angular frequency omega_0 = 2 pi c / lambda (rad/ps)."""
         return 2.0 * math.pi * C_NM_PER_PS / self.spdc_center_wavelength
-
-    @property
-    def filter_center_detuning(self) -> float:
-        """Filter center as a detuning from the degenerate center (rad/ps)."""
-        return (2.0 * math.pi * C_NM_PER_PS / self.filter.center_wavelength
-                - self.center_frequency)
 
 
 def _check_finite(x, name: str):

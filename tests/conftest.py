@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from combhom.config import preset_config
-from combhom.engine import sweep_fft
+from combhom.engine import Engine
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +11,7 @@ def preset_traces():
     traces = {}
     for name in ("fig3a", "fig3b", "fig3c", "hom"):
         cfg = preset_config(name)
-        traces[name] = (cfg, sweep_fft(cfg.setup, cfg.grid, cfg.sweep))
+        traces[name] = (cfg, Engine(cfg.setup, cfg.grid).sweep(cfg.sweep))
     return traces
 
 

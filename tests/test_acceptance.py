@@ -10,11 +10,9 @@ import time
 import numpy as np
 import pytest
 
-import combhom.engine as engine
-from combhom import cli, feynman, oracles
+from combhom import checks, cli, feynman, oracles
 from combhom.config import PRESET_NAMES, preset_config
-from combhom.engine import DelaySweep, FrequencyGrid, convergence_report, sweep_direct, sweep_fft
-from combhom.spectral import etalon_from_geometry, etalon_transfer
+from combhom.engine import DelaySweep, Engine, FrequencyGrid
 
 T_ROUND = 0.6667  # ps, etalon round-trip time of the standard presets
 
@@ -38,6 +36,11 @@ def _local_extremum(trace, tau_center, window=0.15, kind="min"):
 
 def _value_at(trace, tau):
     return trace.normalized_rate[np.argmin(np.abs(trace.tau - tau))]
+
+
+def _registry_passed(names):
+    """{name: passed} for the named `combhom verify` checks, run in registry order."""
+    return {name: check()[0] for name, check in checks.registry(quick=False) if name in names}
 
 
 class TestAcceptance:
@@ -66,7 +69,7 @@ class TestAcceptance:
         sampling = (1.0 - r * r) * -math.expm1(-(cfg.setup.filter.intensity_sigma * half_step) ** 2)
         clauses.append(("depth_0_is_1-R^2", 0.0 <= (1.0 - r * r) - depths[0] <= sampling))
         start = time.perf_counter()
-        sweep_fft(cfg.setup, cfg.grid, cfg.sweep)
+        Engine(cfg.setup, cfg.grid).sweep(cfg.sweep)
         clauses.append(("fft_sweep_under_10s", time.perf_counter() - start < 10.0))
         print(f"  fig3a depths by j: {[f'{d:.4f}' for d in depths]}; series peak at j = {peak}, "
               f"sup mismatch {mismatch:.2e}")
@@ -97,7 +100,7 @@ class TestAcceptance:
 
     def test_criterion_4_hom_oracle(self, preset_traces):
         cfg, _ = preset_traces["hom"]
-        trace = sweep_fft(cfg.setup, cfg.grid, DelaySweep(-3.0, 3.0, 301))
+        trace = Engine(cfg.setup, cfg.grid).sweep(DelaySweep(-3.0, 3.0, 301))
         ref = oracles.hom_closed_form(cfg.setup, trace.tau)
         sup = float(np.abs(trace.normalized_rate - ref).max())
         clauses = [("closed_form_within_1e-3", sup < 1e-3),
@@ -105,14 +108,7 @@ class TestAcceptance:
         _report("4 (HOM oracle)", clauses)
 
     def test_criterion_5_feynman_oracle(self):
-        worst = 0.0
-        for j in range(9):
-            for dphi in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-                for r, equal in ((0.9, False), (0.5, False), (0.0, True)):
-                    w = [1.0] * (j + 1) if equal else [r**m for m in range(j + 1)]
-                    ref = oracles.brute_force_schemes(j, dphi, w)
-                    got = feynman.relative_rate(j, dphi, r, equal_weights=equal).relative_rate
-                    worst = max(worst, abs(ref - got))
+        brute_force = _registry_passed({"feynman_brute_force"})["feynman_brute_force"]
         pinned = (
             abs(feynman.relative_rate(2, math.pi / 2, 0.9, equal_weights=True).relative_rate
                 - 4.0 / 3.0) < 1e-12,
@@ -121,7 +117,7 @@ class TestAcceptance:
             all(feynman.relative_rate(j, 0.0, 0.9, equal_weights=True).relative_rate < 1e-12
                 for j in range(9)),
         )
-        clauses = [("brute_force_within_1e-12", worst < 1e-12),
+        clauses = [("brute_force_within_1e-12", brute_force),
                    ("pinned_values", all(pinned))]
         _report("5 (firing-scheme oracle)", clauses)
 
@@ -134,9 +130,9 @@ class TestAcceptance:
         clauses = []
         for dphi in (0.0, 0.5 * math.pi, math.pi):
             setup = replace(base, etalon=replace(base.etalon, tune_phase=dphi))
-            arrays = engine._EngineArrays.build(setup, grid)
+            eng = Engine(setup, grid)
             for j in range(7):
-                n = 1.0 - arrays.interference(0.5 * j * t_round) / arrays.baseline
+                n = 1.0 - eng.interference(0.5 * j * t_round) / eng.baseline
                 predicted = feynman.relative_rate(
                     j, dphi, base.etalon.reflectivity,
                     pump_coherence_time=base.pump.coherence_time,
@@ -148,42 +144,37 @@ class TestAcceptance:
                 else:
                     ok = n > 1.0
                 clauses.append((f"dphi_{dphi:.2f}_j{j}_{predicted.value}", ok))
-            del arrays
+            del eng
         _report("6 (engine/firing-scheme consistency)", clauses)
 
     def test_criterion_7_numerical_integrity(self, preset_traces):
-        clauses = []
-        for name in PRESET_NAMES:
-            cfg, fast = preset_traces[name]
-            direct = sweep_direct(cfg.setup, cfg.grid, cfg.sweep)
-            sup = float(np.abs(fast.normalized_rate - direct.normalized_rate).max()
-                        / np.abs(direct.normalized_rate).max())
-            clauses.append((f"fft_direct_{name}_1e-6", sup < 1e-6))
-        for name in PRESET_NAMES:
-            cfg, _ = preset_traces[name]
-            report = convergence_report(cfg.setup, cfg.sweep, cfg.grid)
-            clauses.append((f"convergence_{name}_1e-4", report.passed))
+        # fft/direct relative sup delta < 1e-6 and convergence within 1e-4, per preset
+        passed = _registry_passed({f"{check}_{name}" for name in PRESET_NAMES
+                                   for check in ("fft_vs_direct", "convergence")})
+        clauses = [(f"fft_direct_{name}_1e-6", passed[f"fft_vs_direct_{name}"])
+                   for name in PRESET_NAMES]
+        clauses += [(f"convergence_{name}_1e-4", passed[f"convergence_{name}"])
+                    for name in PRESET_NAMES]
         # imaginary residue of the interference integral
         cfg, _ = preset_traces["fig3a"]
-        arrays = engine._EngineArrays.build(cfg.setup, cfg.grid)
+        eng = Engine(cfg.setup, cfg.grid)
         residue = 0.0
         for tau in np.linspace(-0.5, 3.5, 21):
-            phase = np.exp(-1j * arrays.nu * (tau + arrays.delay_offset))
-            value = phase @ arrays.cross @ np.conj(phase)
+            phase = np.exp(-1j * eng.nu * (tau + eng.delay_offset))
+            value = phase @ eng.cross @ np.conj(phase)
             residue = max(residue, abs(value.imag))
-        clauses.append(("imag_residue_1e-9_baseline", residue < 1e-9 * arrays.baseline))
+        clauses.append(("imag_residue_1e-9_baseline", residue < 1e-9 * eng.baseline))
         _report("7 (numerical integrity)", clauses)
 
     def test_criterion_8_etalon_elements(self):
-        et = etalon_from_geometry(100.0, 0.0, 0.9)
-        fsr_thz = 1.0 / et.round_trip_time
-        anti = abs(etalon_transfer(np.array([math.pi / et.round_trip_time]), et, 2396.0)[0])
-        expected = 0.1 / 1.9
-        mean = oracles.mean_transfer_intensity(et, 2396.0)
+        # 100 um spacing, R = 0.9: FSR 1.5 THz within 0.5%, anti-resonance magnitude
+        # (1-R)/(1+R) within 1e-12, mean |f_e|^2 the geometric sum within 1e-6
+        passed = _registry_passed({"fsr_from_geometry", "anti_resonance_magnitude",
+                                   "parseval_mean_intensity"})
         clauses = [
-            ("fsr_1500GHz_within_0.5pct", abs(fsr_thz / 1.5 - 1.0) < 5e-3),
-            ("anti_resonance_1e-12", abs(anti - expected) < 1e-12),
-            ("parseval_1e-6", abs(mean - oracles.geometric_intensity_sum(0.9)) < 1e-6),
+            ("fsr_1500GHz_within_0.5pct", passed["fsr_from_geometry"]),
+            ("anti_resonance_1e-12", passed["anti_resonance_magnitude"]),
+            ("parseval_1e-6", passed["parseval_mean_intensity"]),
         ]
         _report("8 (etalon elements)", clauses)
 

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 import combhom.engine as engine
-from combhom import cli
+from combhom import checks, cli
 from combhom.config import config_from_text, load_config, preset_config
 from combhom.errors import ConfigError
-from combhom.spectral import etalon_transfer
+from combhom.spectral import JointSpectralAmplitude, build_jsa, etalon_transfer
+
+FULL_CHECKS = [
+    "fsr_from_geometry", "anti_resonance_magnitude", "parseval_mean_intensity",
+    "feynman_brute_force", "hom_closed_form", "engine_feynman_signs",
+    "fft_vs_direct_fig3a", "fft_vs_direct_fig3b", "fft_vs_direct_fig3c",
+    "fft_vs_direct_hom", "convergence_fig3a", "convergence_fig3b",
+    "convergence_fig3c", "convergence_hom"]
+QUICK_CHECKS = [name for name, _ in checks.registry(quick=True)]
 
 
 class TestPresets:
@@ -84,6 +92,14 @@ class TestConfigParsing:
         path.write_text("preset = hom\nsweep.steps = 12\n")
         assert load_config(str(path)).sweep.steps == 12
 
+    @pytest.mark.parametrize("line", ["filter.center_wavelength = 790",
+                                      "spdc_center_wavelength = 800",
+                                      "pump.center_wavelength = 400"])
+    def test_centre_off_spdc_rejected(self, line):
+        # the engine centres filter and pump on the SPDC centre, whatever these say
+        with pytest.raises(ConfigError, match="OpticalSetup"):
+            config_from_text(f"preset = hom\n{line}\n")
+
 
 class TestSweepCommand:
     def test_writes_csv_and_metadata(self, tmp_path):
@@ -134,6 +150,34 @@ class TestSweepCommand:
                        "--no-convergence"])
         assert rc == 3
 
+    @pytest.mark.parametrize("line,code", [("pump.duration_fwhm = inf", 1),
+                                           ("sweep.end = inf", 1),
+                                           ("etalon.tune_phase = inf", 1),
+                                           ("grid.span_sigma = 1e-300", 2)])
+    def test_non_finite_output_refused(self, tmp_path, line, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset = fig3a\ngrid.points = 256\nsweep.steps = 20\n{line}\n")
+        out = tmp_path / "trace.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--no-convergence"]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine_choice", ["fft", "both"])
+    def test_base_grid_built_once(self, monkeypatch, engine_choice):
+        cfg = config_from_text(f"preset = hom\ngrid.points = 256\nsweep.steps = 20\n"
+                               f"engine = {engine_choice}\n")
+        grids = []
+        build = engine.Engine.__init__
+
+        def counting(self, setup, grid):
+            grids.append(grid)
+            build(self, setup, grid)
+
+        monkeypatch.setattr(engine.Engine, "__init__", counting)
+        cli.run_sweep(cfg)
+        assert grids.count(cfg.grid) == 1
+        assert len(grids) == 3  # the base grid, then the refined and the widened one
+
     def test_deterministic_output(self, tmp_path):
         args = ["sweep", "--preset", "fig3a", "--grid", "512", "--steps", "60",
                 "--no-convergence"]
@@ -156,19 +200,37 @@ class TestPredictCommand:
         assert cli.main(["predict", "--delta-phi", "0", "--reflectivity", "1.5"]) == 1
 
 
+@pytest.fixture(scope="module")
+def quick_verify():
+    """Exit code and output of `combhom verify --quick`, run once."""
+    stream = io.StringIO()
+    return cli.run_verify(quick=True, out=stream), stream.getvalue()
+
+
 class TestVerify:
-    def test_quick_suite_passes(self):
-        stream = io.StringIO()
-        assert cli.run_verify(quick=True, out=stream) == 0
-        out = stream.getvalue()
+    def test_quick_suite_passes(self, quick_verify):
+        code, out = quick_verify
+        assert code == 0
         assert "FAIL" not in out
         assert "hom_closed_form" in out
         assert "engine_feynman_signs" in out
 
+    @pytest.mark.parametrize("name", QUICK_CHECKS)
+    def test_quick_check_passes(self, quick_verify, name):
+        assert f"PASS {name}: " in quick_verify[1]
+
+    def test_full_registry_names(self):
+        assert [name for name, _ in checks.registry(quick=False)] == FULL_CHECKS
+        assert QUICK_CHECKS == FULL_CHECKS[:7]
+
     def test_cross_sign_mutation_caught_by_hom_check(self, monkeypatch):
-        monkeypatch.setattr(engine, "_CROSS_TERM_SIGN", -1.0)
-        name, passed, _ = cli._check_hom_closed_form(quick=True)
-        assert name == "hom_closed_form"
+        def exchange_odd_jsa(setup, grid):
+            jsa = build_jsa(setup, grid)
+            flip = np.sign(jsa.axis[:, None] - jsa.axis[None, :])
+            return JointSpectralAmplitude(axis=jsa.axis, values=jsa.values * flip)
+
+        monkeypatch.setattr(engine, "build_jsa", exchange_odd_jsa)
+        passed, _ = dict(checks.registry(quick=True))["hom_closed_form"]()
         assert not passed
 
     def test_tune_phase_mutation_caught_by_sign_check(self, monkeypatch):
@@ -179,7 +241,6 @@ class TestVerify:
                                    center_frequency)
 
         monkeypatch.setattr(engine, "etalon_transfer", ignore_tune_phase)
-        name, passed, detail = cli._check_classifications(quick=True)
-        assert name == "engine_feynman_signs"
+        passed, detail = dict(checks.registry(quick=True))["engine_feynman_signs"]()
         assert not passed
         assert "j=1" in detail

@@ -5,10 +5,9 @@ import pytest
 
 import combhom.engine as engine
 from combhom.config import preset_config
-from combhom.engine import (DelaySweep, FrequencyGrid, baseline_rate,
-                            coincidence_rate, convergence_report, default_grid,
-                            interference_term, sweep_direct, sweep_fft)
-from combhom.errors import ConfigError, ResolutionError
+from combhom.engine import (DelaySweep, Engine, FrequencyGrid, convergence_report,
+                            default_grid)
+from combhom.errors import ConfigError, NumericalConsistencyError, ResolutionError
 from combhom.spectral import (EtalonSpec, FilterSpec, OpticalSetup,
                               PhaseMatchingModel, PhaseMatchingSpec, PumpSpec,
                               etalon_from_geometry)
@@ -53,68 +52,68 @@ class TestGrid:
 
 class TestBaseline:
     def test_positive(self):
-        assert baseline_rate(HOM_SETUP, small_grid(HOM_SETUP)) > 0.0
+        assert Engine(HOM_SETUP, small_grid(HOM_SETUP)).baseline > 0.0
 
     def test_refuses_unresolved_comb(self):
         grid = FrequencyGrid(16, 5 * FIG3A_SETUP.filter.intensity_sigma)
         with pytest.raises(ResolutionError):
-            baseline_rate(FIG3A_SETUP, grid)
+            Engine(FIG3A_SETUP, grid)
 
     def test_zero_reflectivity_matches_disabled(self):
         et0 = EtalonSpec(enabled=True, reflectivity=0.0,
                          round_trip_time=FIG3A_SETUP.etalon.round_trip_time)
         with_et = make_setup(etalon=et0)
         grid = small_grid(with_et)
-        assert baseline_rate(with_et, grid) == pytest.approx(
-            baseline_rate(HOM_SETUP, grid), rel=1e-12)
+        assert Engine(with_et, grid).baseline == pytest.approx(
+            Engine(HOM_SETUP, grid).baseline, rel=1e-12)
 
     def test_grid_doubling_converged(self):
         grid = small_grid(FIG3A_SETUP, points=1024)
         fine = FrequencyGrid(2048, grid.span)
-        b, bf = baseline_rate(FIG3A_SETUP, grid), baseline_rate(FIG3A_SETUP, fine)
+        b, bf = Engine(FIG3A_SETUP, grid).baseline, Engine(FIG3A_SETUP, fine).baseline
         assert abs(b / bf - 1.0) < 1e-4
 
 
 class TestCoincidence:
     def test_full_dip_at_zero_delay(self):
-        grid = small_grid(HOM_SETUP)
-        b = baseline_rate(HOM_SETUP, grid)
-        assert interference_term(HOM_SETUP, grid, 0.0) == pytest.approx(b, rel=1e-10)
-        assert coincidence_rate(HOM_SETUP, grid, 0.0) <= 1e-9 * b
+        eng = Engine(HOM_SETUP, small_grid(HOM_SETUP))
+        b = eng.baseline
+        assert eng.interference(0.0) == pytest.approx(b, rel=1e-10)
+        assert eng.rate(0.0) <= 1e-9 * b
 
     def test_far_delay_recovers_baseline(self):
-        grid = small_grid(HOM_SETUP)
-        b = baseline_rate(HOM_SETUP, grid)
-        assert coincidence_rate(HOM_SETUP, grid, 20.0) == pytest.approx(b, rel=1e-2)
+        eng = Engine(HOM_SETUP, small_grid(HOM_SETUP))
+        b = eng.baseline
+        assert eng.rate(20.0) == pytest.approx(b, rel=1e-2)
 
     def test_normalization_far_delay_with_etalon(self):
-        grid = small_grid(FIG3A_SETUP, points=1024)
-        b = baseline_rate(FIG3A_SETUP, grid)
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=1024))
+        b = eng.baseline
         for tau in (-20.0, 20.0):
-            assert coincidence_rate(FIG3A_SETUP, grid, tau) == pytest.approx(b, rel=1e-2)
+            assert eng.rate(tau) == pytest.approx(b, rel=1e-2)
 
     def test_etalon_dip_persists_at_one_round_trip(self):
-        grid = small_grid(FIG3A_SETUP, points=1024)
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=1024))
         t = FIG3A_SETUP.etalon.round_trip_time
-        assert interference_term(FIG3A_SETUP, grid, t) > 0.0
+        assert eng.interference(t) > 0.0
 
 
 class TestSweeps:
     def test_two_step_sweep_equals_point_calls(self):
-        grid = small_grid(HOM_SETUP, points=256)
+        eng = Engine(HOM_SETUP, small_grid(HOM_SETUP, points=256))
         sweep = DelaySweep(-0.2, 0.4, 2)
-        trace = sweep_direct(HOM_SETUP, grid, sweep)
-        expected = [coincidence_rate(HOM_SETUP, grid, t) for t in (-0.2, 0.4)]
+        trace = eng.sweep(sweep, direct=True)
+        expected = [eng.rate(t) for t in (-0.2, 0.4)]
         assert trace.raw_rate.tolist() == expected
 
     def test_no_etalon_trace_even_in_delay(self):
         grid = small_grid(HOM_SETUP, points=256)
-        trace = sweep_direct(HOM_SETUP, grid, DelaySweep(-1.0, 1.0, 81))
+        trace = Engine(HOM_SETUP, grid).sweep(DelaySweep(-1.0, 1.0, 81), direct=True)
         assert trace.normalized_rate == pytest.approx(trace.normalized_rate[::-1], abs=1e-9)
 
     def test_no_etalon_single_minimum(self):
         grid = small_grid(HOM_SETUP, points=256)
-        trace = sweep_fft(HOM_SETUP, grid, DelaySweep(-2.0, 2.0, 201))
+        trace = Engine(HOM_SETUP, grid).sweep(DelaySweep(-2.0, 2.0, 201))
         n = trace.normalized_rate
         # far wings carry quadrature ripple ~1e-7; only count resolved minima
         interior = np.flatnonzero((n[1:-1] < n[:-2]) & (n[1:-1] < n[2:]))
@@ -123,36 +122,44 @@ class TestSweeps:
         assert abs(trace.tau[resolved[0] + 1]) < 0.05
 
     def test_fft_matches_direct(self):
-        grid = small_grid(FIG3A_SETUP, points=512)
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
         sweep = DelaySweep(-0.5, 2.0, 173)
-        direct = sweep_direct(FIG3A_SETUP, grid, sweep)
-        fast = sweep_fft(FIG3A_SETUP, grid, sweep)
+        direct = eng.sweep(sweep, direct=True)
+        fast = eng.sweep(sweep)
         assert np.abs(fast.normalized_rate - direct.normalized_rate).max() < 1e-6
         assert fast.metadata["engine"] == "fft"
 
     def test_fft_nonuniform_delays_fallback_path(self):
         # non-uniform spacing exercises the dense collapsed evaluation
-        grid = small_grid(FIG3A_SETUP, points=512)
-        arrays = engine._EngineArrays.build(FIG3A_SETUP, grid)
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
         tau = np.array([-0.1, 0.0, 0.05, 0.4])
-        values = engine._interference_all(arrays, tau)
-        expected = [arrays.interference(t) for t in tau]
+        values = eng._interference_all(tau)
+        expected = [eng.interference(t) for t in tau]
         assert values == pytest.approx(expected, rel=1e-9)
 
     def test_fft_mismatch_falls_back_to_direct(self, monkeypatch):
         monkeypatch.setattr(engine, "FFT_MATCH_TOL", 0.0)
         grid = small_grid(FIG3A_SETUP, points=512)
-        trace = sweep_fft(FIG3A_SETUP, grid, DelaySweep(-0.1, 0.5, 13))
+        trace = Engine(FIG3A_SETUP, grid).sweep(DelaySweep(-0.1, 0.5, 13))
         assert trace.metadata["engine"] == "direct"
         assert trace.metadata["fft_fallback"] is True
 
     def test_deterministic(self):
         grid = small_grid(FIG3A_SETUP, points=512)
         sweep = DelaySweep(-0.5, 2.0, 101)
-        a = sweep_fft(FIG3A_SETUP, grid, sweep)
-        b = sweep_fft(FIG3A_SETUP, grid, sweep)
+        a = Engine(FIG3A_SETUP, grid).sweep(sweep)
+        b = Engine(FIG3A_SETUP, grid).sweep(sweep)
         assert np.array_equal(a.raw_rate, b.raw_rate)
         assert np.array_equal(a.normalized_rate, b.normalized_rate)
+
+    def test_non_finite_rate_refused(self):
+        eng = Engine(HOM_SETUP, small_grid(HOM_SETUP, points=256))
+        eng.cross[0, 0] = np.nan
+        for direct in (False, True):
+            with pytest.raises(NumericalConsistencyError, match="not finite"):
+                eng.sweep(DelaySweep(-0.2, 0.4, 5), direct=direct)
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            eng.rate(0.0)
 
     def test_one_sided_features_with_etalon(self, preset_traces):
         _, trace = preset_traces["fig3a"]
@@ -163,12 +170,15 @@ class TestSweeps:
 class TestConvergence:
     def test_coarse_grid_fails(self):
         grid = FrequencyGrid(32, 5 * HOM_SETUP.filter.intensity_sigma)
-        report = convergence_report(HOM_SETUP, DelaySweep(-0.5, 3.5, 60), grid)
+        sweep = DelaySweep(-0.5, 3.5, 60)
+        report = convergence_report(HOM_SETUP, sweep, grid, Engine(HOM_SETUP, grid).sweep(sweep))
         assert not report.passed
 
     def test_default_grid_passes(self, preset_traces):
         cfg, _ = preset_traces["fig3a"]
-        report = convergence_report(cfg.setup, DelaySweep(-0.5, 3.5, 60), cfg.grid)
+        sweep = DelaySweep(-0.5, 3.5, 60)
+        report = convergence_report(cfg.setup, sweep, cfg.grid,
+                                    Engine(cfg.setup, cfg.grid).sweep(sweep))
         assert report.passed
 
     def test_sinc_with_tiny_coefficients_matches_flat(self):
@@ -177,6 +187,6 @@ class TestConvergence:
                           difference_coefficient=2e-5)
         grid = small_grid(FIG3A_SETUP, points=1024)
         sweep = DelaySweep(-0.5, 2.0, 101)
-        a = sweep_fft(FIG3A_SETUP, grid, sweep)
-        b = sweep_fft(sinc, grid, sweep)
+        a = Engine(FIG3A_SETUP, grid).sweep(sweep)
+        b = Engine(sinc, grid).sweep(sweep)
         assert np.abs(a.normalized_rate - b.normalized_rate).max() < 1e-3

@@ -4,32 +4,8 @@ import numpy as np
 import pytest
 
 from combhom.errors import ConfigError
-from combhom.feynman import (Feature, coherence_factor, enumerate_schemes,
-                             predict_trace_skeleton, relative_rate)
-
-
-class TestSchemes:
-    def test_single_scheme_at_zero(self):
-        schemes = enumerate_schemes(0, 1.3, 0.9)
-        assert len(schemes) == 1
-        assert schemes[0].phase_difference == 0.0
-
-    def test_two_schemes_with_opposite_phases(self):
-        schemes = enumerate_schemes(1, 0.7, 0.9)
-        assert [s.phase_difference for s in schemes] == pytest.approx([0.7, -0.7])
-
-    def test_three_schemes_at_j2(self):
-        schemes = enumerate_schemes(2, 0.5, 0.9)
-        assert [s.phase_difference for s in schemes] == pytest.approx([1.0, 0.0, -1.0])
-
-    def test_weights_geometric(self):
-        schemes = enumerate_schemes(2, 0.0, 0.5)
-        assert schemes[0].weight_pair == pytest.approx((0.5, 0.125))
-        assert schemes[2].weight_pair == pytest.approx((0.125, 0.5))
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ConfigError):
-            enumerate_schemes(-1, 0.0, 0.9)
+from combhom.feynman import (Feature, coherence_factor, predict_trace_skeleton,
+                             relative_rate)
 
 
 class TestRelativeRate:

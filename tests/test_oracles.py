@@ -25,8 +25,8 @@ class TestHomClosedForm:
 
     def test_matches_engine_trace(self, preset_traces):
         cfg, _ = preset_traces["hom"]
-        from combhom.engine import DelaySweep, sweep_fft
-        trace = sweep_fft(cfg.setup, cfg.grid, DelaySweep(-3.0, 3.0, 241))
+        from combhom.engine import DelaySweep, Engine
+        trace = Engine(cfg.setup, cfg.grid).sweep(DelaySweep(-3.0, 3.0, 241))
         ref = oracles.hom_closed_form(cfg.setup, trace.tau)
         assert np.abs(trace.normalized_rate - ref).max() < 1e-3
 
