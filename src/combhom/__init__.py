@@ -10,19 +10,18 @@ from .engine import (CoincidenceTrace, ConvergenceReport, DelaySweep, Engine,
 from .errors import ConfigError, NumericalConsistencyError, ResolutionError
 from .feynman import (Feature, FeaturePrediction, predict_trace_skeleton,
                       relative_rate)
-from .spectral import (EtalonSpec, FilterSpec, JointSpectralAmplitude,
-                       OpticalSetup, PhaseMatchingModel, PhaseMatchingSpec,
-                       PumpSpec, build_jsa, etalon_from_geometry,
-                       etalon_transfer, filter_amplitude, phase_matching,
-                       pump_envelope)
+from .spectral import (EtalonSpec, FilterSpec, OpticalSetup, PhaseMatchingModel,
+                       PhaseMatchingSpec, PumpSpec, build_jsa,
+                       etalon_from_geometry, etalon_transfer, filter_amplitude,
+                       phase_matching, pump_envelope)
 
 __all__ = [
     "CoincidenceTrace", "ConvergenceReport", "DelaySweep", "Engine", "FrequencyGrid",
     "convergence_report", "default_grid",
     "ConfigError", "NumericalConsistencyError", "ResolutionError",
     "Feature", "FeaturePrediction", "predict_trace_skeleton", "relative_rate",
-    "EtalonSpec", "FilterSpec", "JointSpectralAmplitude", "OpticalSetup",
-    "PhaseMatchingModel", "PhaseMatchingSpec", "PumpSpec", "build_jsa",
+    "EtalonSpec", "FilterSpec", "OpticalSetup", "PhaseMatchingModel",
+    "PhaseMatchingSpec", "PumpSpec", "build_jsa",
     "etalon_from_geometry", "etalon_transfer", "filter_amplitude",
     "phase_matching", "pump_envelope",
 ]

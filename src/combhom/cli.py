@@ -15,9 +15,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import checks, engine, feynman
-from .config import (ENGINE_CHOICES, FORMAT_CHOICES, PRESET_NAMES, RunConfig,
-                     load_config, preset_config)
-from .engine import CoincidenceTrace, DelaySweep, Engine, FrequencyGrid
+# preset_config stays bound here: the benchmark's setup step calls cli.preset_config.
+from .config import (ENGINE_CHOICES, FORMAT_CHOICES, KEYS, PRESET_NAMES, RunConfig,
+                     build_config, parse_config, preset_config)
+from .engine import CoincidenceTrace, Engine
 from .errors import ConfigError, NumericalConsistencyError
 from .spectral import C_UM_PER_PS
 
@@ -102,18 +103,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "HOM interferometer with an intracavity etalon")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag whose dest is a config key sets that key, over the --config file's value
     sweep = sub.add_parser("sweep", help="run a delay sweep and write the trace")
     sweep.add_argument("--config", help="flat key = value config file")
     sweep.add_argument("--preset", choices=PRESET_NAMES)
-    sweep.add_argument("--tau-start", type=float)
-    sweep.add_argument("--tau-end", type=float)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--grid", type=int, help="points per axis")
-    sweep.add_argument("--span-sigma", type=float,
+    sweep.add_argument("--tau-start", dest="sweep.start", type=float)
+    sweep.add_argument("--tau-end", dest="sweep.end", type=float)
+    sweep.add_argument("--steps", dest="sweep.steps", type=int)
+    sweep.add_argument("--grid", dest="grid.points", type=int, help="points per axis")
+    sweep.add_argument("--span-sigma", dest="grid.span_sigma", type=float,
                        help="grid half-width in filter intensity sigmas")
     sweep.add_argument("--engine", choices=ENGINE_CHOICES)
-    sweep.add_argument("--out", help="output path")
-    sweep.add_argument("--format", choices=FORMAT_CHOICES)
+    sweep.add_argument("--out", dest="output.path", help="output path")
+    sweep.add_argument("--format", dest="output.format", choices=FORMAT_CHOICES)
     sweep.add_argument("--no-convergence", action="store_true",
                        help="skip the convergence self-test in the metadata")
 
@@ -136,26 +138,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-    elif args.preset:
-        config = preset_config(args.preset)
-    else:
+    if not (args.config or args.preset):
         raise ConfigError("sweep needs --config or --preset")
-    setup, grid, sweep = config.setup, config.grid, config.sweep
-    if args.grid is not None or args.span_sigma is not None:
-        span = (args.span_sigma * setup.filter.intensity_sigma
-                if args.span_sigma is not None else grid.span)
-        grid = FrequencyGrid(points_per_axis=args.grid or grid.points_per_axis, span=span)
-    if any(v is not None for v in (args.tau_start, args.tau_end, args.steps)):
-        sweep = DelaySweep(
-            start=args.tau_start if args.tau_start is not None else sweep.start,
-            end=args.tau_end if args.tau_end is not None else sweep.end,
-            steps=args.steps if args.steps is not None else sweep.steps)
-    return replace(config, grid=grid, sweep=sweep,
-                   engine=args.engine or config.engine,
-                   out_path=args.out or config.out_path,
-                   out_format=args.format or config.out_format)
+    values = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = parse_config(fh.read())
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in KEYS and value is not None)
+    return build_config(values)
 
 
 def main(argv=None) -> int:

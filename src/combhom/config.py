@@ -7,12 +7,12 @@ comments.  Unknown keys are hard errors so typos never pass silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import DEFAULT_SPAN_SIGMAS, DelaySweep, FrequencyGrid, default_grid
 from .errors import ConfigError
-from .spectral import (EtalonSpec, FilterSpec, OpticalSetup, PhaseMatchingModel,
-                       PhaseMatchingSpec, PumpSpec, etalon_from_geometry)
+from .spectral import (FilterSpec, OpticalSetup, PhaseMatchingModel, PhaseMatchingSpec,
+                       PumpSpec, etalon_from_geometry)
 
 DEFAULT_SWEEP = DelaySweep(start=-0.5, end=3.5, steps=600)
 
@@ -41,7 +41,7 @@ class RunConfig:
 
 def _fig3_setup(tune_phase: float, etalon_enabled: bool = True) -> OpticalSetup:
     return OpticalSetup(
-        pump=PumpSpec(center_wavelength=393.0, duration_fwhm=1.4),
+        pump=PumpSpec(duration_fwhm=1.4),
         phase_matching=PhaseMatchingSpec(model=PhaseMatchingModel.FLAT),
         filter=FilterSpec(center_wavelength=786.0, fwhm=10.0),
         etalon=etalon_from_geometry(spacing_um=100.0, incidence_angle=0.0,
@@ -74,17 +74,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> parser for its value
-_KEYS = {
+# key -> parser for its value.  A key named <spec>.<field> sets that field of
+# the preset's pump, phase_matching, filter, etalon or sweep; build_config
+# handles the others by name.
+KEYS = {
     "preset": str,
-    "spdc_center_wavelength": float,
-    "pump.center_wavelength": float,
+    "spdc_center_wavelength": float,   # nm; also the filter centre
     "pump.duration_fwhm": float,
-    "phase_matching.model": str,
+    "phase_matching.model": PhaseMatchingModel,
     "phase_matching.crystal_length": float,
     "phase_matching.sum_coefficient": float,
     "phase_matching.difference_coefficient": float,
-    "filter.center_wavelength": float,
     "filter.fwhm": float,
     "etalon.enabled": _parse_bool,
     "etalon.reflectivity": float,
@@ -102,7 +102,8 @@ _KEYS = {
 }
 
 
-def _parse_flat(text: str) -> dict:
+def parse_config(text: str) -> dict:
+    """Parse flat ``key = value`` lines into typed values; errors name the line."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,10 +114,10 @@ def _parse_flat(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEYS[key](value)
+            values[key] = KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if not values:
@@ -126,8 +127,7 @@ def _parse_flat(text: str) -> dict:
 
 def config_from_text(text: str) -> RunConfig:
     """Parse and validate a flat config, optionally layered over a preset."""
-    values = _parse_flat(text)
-    return _build_config(values)
+    return build_config(parse_config(text))
 
 
 def load_config(path: str) -> RunConfig:
@@ -135,62 +135,41 @@ def load_config(path: str) -> RunConfig:
         return config_from_text(fh.read())
 
 
-def _build_config(values: dict) -> RunConfig:
-    preset = values.get("preset")
-    if preset is not None:
-        base = preset_config(preset)
-        setup, grid, sweep = base.setup, base.grid, base.sweep
-        engine, out_format = base.engine, base.out_format
-    else:
-        setup = _fig3_setup(0.0)
-        grid, sweep = default_grid(setup), DEFAULT_SWEEP
-        engine, out_format = "fft", "csv"
+def build_config(values: dict) -> RunConfig:
+    """Lay typed config values over their preset (fig3a if none) and validate the run.
 
-    spdc = values.get("spdc_center_wavelength", setup.spdc_center_wavelength)
-    pump = PumpSpec(
-        center_wavelength=values.get("pump.center_wavelength", 0.5 * spdc),
-        duration_fwhm=values.get("pump.duration_fwhm", setup.pump.duration_fwhm))
-    model_name = values.get("phase_matching.model", setup.phase_matching.model.value)
-    try:
-        model = PhaseMatchingModel(model_name)
-    except ValueError:
-        raise ConfigError(f"phase_matching.model must be 'flat' or 'sinc', got {model_name!r}")
-    pm = PhaseMatchingSpec(
-        model=model,
-        crystal_length=values.get("phase_matching.crystal_length",
-                                  setup.phase_matching.crystal_length),
-        sum_coefficient=values.get("phase_matching.sum_coefficient",
-                                   setup.phase_matching.sum_coefficient),
-        difference_coefficient=values.get("phase_matching.difference_coefficient",
-                                          setup.phase_matching.difference_coefficient))
-    filt = FilterSpec(
-        center_wavelength=values.get("filter.center_wavelength", setup.filter.center_wavelength),
-        fwhm=values.get("filter.fwhm", setup.filter.fwhm))
-    if "etalon.spacing" in values and "etalon.round_trip_time" in values:
-        raise ConfigError("give either etalon.spacing or etalon.round_trip_time, not both")
-    if "etalon.spacing" in values:
-        etalon = etalon_from_geometry(
-            spacing_um=values["etalon.spacing"],
-            reflectivity=values.get("etalon.reflectivity", setup.etalon.reflectivity),
-            tune_phase=values.get("etalon.tune_phase", setup.etalon.tune_phase),
-            enabled=values.get("etalon.enabled", setup.etalon.enabled))
-    else:
-        etalon = EtalonSpec(
-            enabled=values.get("etalon.enabled", setup.etalon.enabled),
-            reflectivity=values.get("etalon.reflectivity", setup.etalon.reflectivity),
-            round_trip_time=values.get("etalon.round_trip_time", setup.etalon.round_trip_time),
-            tune_phase=values.get("etalon.tune_phase", setup.etalon.tune_phase))
-    setup = OpticalSetup(pump=pump, phase_matching=pm, filter=filt, etalon=etalon,
-                         spdc_center_wavelength=spdc)
+    The one path from config text, config files and ``combhom sweep`` flags
+    to a RunConfig.  The filter is centred on ``spdc_center_wavelength``.
+    """
+    unknown = sorted(set(values) - set(KEYS))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}")
+    preset = values.get("preset")
+    base = preset_config("fig3a" if preset is None else preset)
+    specs = {"pump": base.setup.pump, "phase_matching": base.setup.phase_matching,
+             "filter": base.setup.filter, "etalon": base.setup.etalon, "sweep": base.sweep}
+    fields: dict[str, dict] = {name: {} for name in specs}
+    for key, value in values.items():
+        name, _, field = key.partition(".")
+        if name in fields:
+            fields[name][field] = value
+
+    etalon = fields["etalon"]
+    if "spacing" in etalon:
+        if "round_trip_time" in etalon:
+            raise ConfigError("give either etalon.spacing or etalon.round_trip_time, not both")
+        etalon["round_trip_time"] = etalon_from_geometry(etalon.pop("spacing")).round_trip_time
+    spdc = values.get("spdc_center_wavelength", base.setup.spdc_center_wavelength)
+    fields["filter"]["center_wavelength"] = spdc
+    built = {name: replace(spec, **fields[name]) for name, spec in specs.items()}
+    sweep = built.pop("sweep")
+    setup = OpticalSetup(**built, spdc_center_wavelength=spdc)
 
     grid = FrequencyGrid(
-        points_per_axis=values.get("grid.points", grid.points_per_axis),
-        span=values.get("grid.span_sigma", DEFAULT_SPAN_SIGMAS) * filt.intensity_sigma)
-    sweep = DelaySweep(start=values.get("sweep.start", sweep.start),
-                       end=values.get("sweep.end", sweep.end),
-                       steps=values.get("sweep.steps", sweep.steps))
+        points_per_axis=values.get("grid.points", base.grid.points_per_axis),
+        span=values.get("grid.span_sigma", DEFAULT_SPAN_SIGMAS) * setup.filter.intensity_sigma)
     return RunConfig(setup=setup, grid=grid, sweep=sweep,
-                     engine=values.get("engine", engine),
+                     engine=values.get("engine", base.engine),
                      out_path=values.get("output.path"),
-                     out_format=values.get("output.format", out_format),
+                     out_format=values.get("output.format", base.out_format),
                      preset=preset)

@@ -118,7 +118,7 @@ class Engine:
         weight = 0.25 * grid.spacing**2
         f2 = filter_amplitude(nu, setup.filter) ** 2
         fe = etalon_transfer(nu, setup.etalon, setup.center_frequency)
-        phi = build_jsa(setup, grid).values
+        phi = build_jsa(setup, grid)
 
         abs2 = np.abs(phi) ** 2
         self.baseline = weight * float((f2 * np.abs(fe) ** 2) @ abs2 @ f2)

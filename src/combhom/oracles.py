@@ -200,7 +200,7 @@ def high_r_reference_setup(delta_phi: float = 0.0) -> OpticalSetup:
     feature signs must match the firing-scheme classifications.
     """
     return OpticalSetup(
-        pump=PumpSpec(center_wavelength=393.0, duration_fwhm=20.0),
+        pump=PumpSpec(duration_fwhm=20.0),
         phase_matching=PhaseMatchingSpec(model=PhaseMatchingModel.FLAT),
         filter=FilterSpec(center_wavelength=786.0, fwhm=10.0),
         etalon=etalon_from_geometry(spacing_um=100.0, incidence_angle=0.0,

@@ -31,20 +31,15 @@ _TWO_SQRT_2LN2 = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Transform-limited Gaussian pump pulse.
+    """Transform-limited Gaussian pump pulse, centred on half the SPDC wavelength.
 
-    center_wavelength: nm (half the degenerate SPDC wavelength)
     duration_fwhm: ps, intensity FWHM of the fundamental pulse whose second
         harmonic pumps the crystal
     """
 
-    center_wavelength: float
     duration_fwhm: float
 
     def __post_init__(self):
-        if not 0 < self.center_wavelength < math.inf:
-            raise ConfigError(
-                f"PumpSpec: center_wavelength must be finite and > 0, got {self.center_wavelength}")
         if not 0 < self.duration_fwhm < math.inf:
             raise ConfigError(f"PumpSpec: duration_fwhm must be finite and > 0, got {self.duration_fwhm}")
 
@@ -80,6 +75,9 @@ class PhaseMatchingSpec:
     difference_coefficient: float = 0.0  # ps/mm
 
     def __post_init__(self):
+        for name in ("crystal_length", "sum_coefficient", "difference_coefficient"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"PhaseMatchingSpec: {name} must be finite, got {getattr(self, name)}")
         if self.model is PhaseMatchingModel.SINC and not self.crystal_length > 0:
             raise ConfigError(f"PhaseMatchingSpec: crystal_length must be > 0, got {self.crystal_length}")
 
@@ -95,10 +93,9 @@ class FilterSpec:
     fwhm: float
 
     def __post_init__(self):
-        if not self.center_wavelength > 0:
-            raise ConfigError(f"FilterSpec: center_wavelength must be > 0, got {self.center_wavelength}")
-        if not self.fwhm > 0:
-            raise ConfigError(f"FilterSpec: fwhm must be > 0, got {self.fwhm}")
+        for name in ("center_wavelength", "fwhm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"FilterSpec: {name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def intensity_fwhm_angular(self) -> float:
@@ -157,8 +154,8 @@ def etalon_from_geometry(spacing_um: float, incidence_angle: float = 0.0,
 class OpticalSetup:
     """Complete parameterization of one simulation run.
 
-    The engine centres the filter and the pump on the SPDC centre, so theirs
-    must match it to 1e-9 relative.
+    The engine centres the filter and the pump on the SPDC centre, so the
+    filter's must match it to 1e-9 relative.
     """
 
     pump: PumpSpec
@@ -168,15 +165,13 @@ class OpticalSetup:
     spdc_center_wavelength: float  # nm
 
     def __post_init__(self):
-        if not self.spdc_center_wavelength > 0:
+        spdc = self.spdc_center_wavelength
+        if not 0 < spdc < math.inf:
+            raise ConfigError(f"OpticalSetup: spdc_center_wavelength must be finite and > 0, got {spdc}")
+        if not math.isclose(self.filter.center_wavelength, spdc, rel_tol=1e-9):
             raise ConfigError(
-                f"OpticalSetup: spdc_center_wavelength must be > 0, got {self.spdc_center_wavelength}")
-        for spec, centre in ((self.filter, self.spdc_center_wavelength),
-                             (self.pump, 0.5 * self.spdc_center_wavelength)):
-            if not math.isclose(spec.center_wavelength, centre, rel_tol=1e-9):
-                raise ConfigError(
-                    f"OpticalSetup: {type(spec).__name__} center_wavelength "
-                    f"{spec.center_wavelength} nm must be {centre} nm, set by spdc_center_wavelength")
+                f"OpticalSetup: FilterSpec center_wavelength {self.filter.center_wavelength} nm "
+                f"must be {spdc} nm, set by spdc_center_wavelength")
 
     @property
     def center_frequency(self) -> float:
@@ -236,19 +231,12 @@ def etalon_transfer(detuning, etalon: EtalonSpec, center_frequency: float):
     return (1.0 - r) * np.exp(0.5j * phi) / (1.0 - r * np.exp(1j * phi))
 
 
-@dataclass(frozen=True)
-class JointSpectralAmplitude:
-    """phi(nu_s, nu_i) sampled on a square detuning grid, peak magnitude 1."""
-
-    axis: np.ndarray       # shared 1D detuning axis (rad/ps)
-    values: np.ndarray     # complex, shape (n, n); [i, j] = phi(axis[i], axis[j])
-
-
-def build_jsa(setup: OpticalSetup, grid) -> JointSpectralAmplitude:
+def build_jsa(setup: OpticalSetup, grid) -> np.ndarray:
     """Sample the joint spectral amplitude pump * phase-matching over a grid.
 
     `grid` is any object with an ``axis()`` method returning the 1D detuning
-    samples (see engine.FrequencyGrid).
+    samples (see engine.FrequencyGrid).  Returns the complex (n, n) array
+    phi[i, j] = phi(axis[i], axis[j]), peak magnitude 1.
     """
     nu = np.asarray(grid.axis(), dtype=float)
     if nu.size <= 1:
@@ -259,4 +247,4 @@ def build_jsa(setup: OpticalSetup, grid) -> JointSpectralAmplitude:
     peak = np.abs(phi).max()
     if peak == 0.0:
         raise ConfigError("build_jsa: amplitude vanishes everywhere on the grid")
-    return JointSpectralAmplitude(axis=nu, values=phi / peak)
+    return phi / peak

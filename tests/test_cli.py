@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import combhom.engine as engine
 from combhom import checks, cli
 from combhom.config import config_from_text, load_config, preset_config
 from combhom.errors import ConfigError
-from combhom.spectral import JointSpectralAmplitude, build_jsa, etalon_transfer
+from combhom.spectral import FilterSpec, build_jsa, etalon_transfer
 
 FULL_CHECKS = [
     "fsr_from_geometry", "anti_resonance_magnitude", "parseval_mean_intensity",
@@ -18,6 +19,12 @@ FULL_CHECKS = [
     "fft_vs_direct_hom", "convergence_fig3a", "convergence_fig3b",
     "convergence_fig3c", "convergence_hom"]
 QUICK_CHECKS = [name for name, _ in checks.registry(quick=True)]
+# each sweep flag, a value for it, and the config key it sets
+FLAG_KEYS = [("--preset", "fig3b", "preset"), ("--tau-start", "-0.25", "sweep.start"),
+             ("--tau-end", "2.5", "sweep.end"), ("--steps", "33", "sweep.steps"),
+             ("--grid", "256", "grid.points"), ("--span-sigma", "6.5", "grid.span_sigma"),
+             ("--engine", "both", "engine"), ("--out", "x.csv", "output.path"),
+             ("--format", "json", "output.format")]
 
 
 class TestPresets:
@@ -66,7 +73,7 @@ class TestConfigParsing:
             sweep.steps = 100
             engine = both
         """)
-        assert cfg.setup.pump.center_wavelength == pytest.approx(393.0)
+        assert cfg.setup.filter.center_wavelength == pytest.approx(786.0)
         assert cfg.setup.etalon.round_trip_time == pytest.approx(0.667, abs=5e-4)
         assert cfg.grid.points_per_axis == 512
         assert cfg.engine == "both"
@@ -93,12 +100,18 @@ class TestConfigParsing:
         assert load_config(str(path)).sweep.steps == 12
 
     @pytest.mark.parametrize("line", ["filter.center_wavelength = 790",
-                                      "spdc_center_wavelength = 800",
                                       "pump.center_wavelength = 400"])
     def test_centre_off_spdc_rejected(self, line):
-        # the engine centres filter and pump on the SPDC centre, whatever these say
-        with pytest.raises(ConfigError, match="OpticalSetup"):
+        # the engine centres filter and pump on the SPDC centre, so only that is a key
+        with pytest.raises(ConfigError, match="unknown key"):
             config_from_text(f"preset = hom\n{line}\n")
+        with pytest.raises(ConfigError, match="OpticalSetup"):
+            replace(preset_config("hom").setup, filter=FilterSpec(center_wavelength=790.0, fwhm=10.0))
+
+    def test_spdc_centre_sets_filter_centre(self):
+        cfg = config_from_text("preset = hom\nspdc_center_wavelength = 800\n")
+        assert cfg.setup.spdc_center_wavelength == 800.0
+        assert cfg.setup.filter.center_wavelength == 800.0
 
 
 class TestSweepCommand:
@@ -150,10 +163,15 @@ class TestSweepCommand:
                        "--no-convergence"])
         assert rc == 3
 
-    @pytest.mark.parametrize("line,code", [("pump.duration_fwhm = inf", 1),
-                                           ("sweep.end = inf", 1),
-                                           ("etalon.tune_phase = inf", 1),
-                                           ("grid.span_sigma = 1e-300", 2)])
+    @pytest.mark.parametrize("line,code", [
+        ("pump.duration_fwhm = inf", 1),
+        ("sweep.end = inf", 1),
+        ("etalon.tune_phase = inf", 1),
+        ("grid.span_sigma = 1e-300", 2),
+        ("phase_matching.model = sinc\nphase_matching.sum_coefficient = inf", 1),
+        ("phase_matching.model = sinc\nphase_matching.crystal_length = inf", 1),
+        ("phase_matching.sum_coefficient = nan", 1),
+        ("filter.fwhm = inf", 1)])
     def test_non_finite_output_refused(self, tmp_path, line, code):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"preset = fig3a\ngrid.points = 256\nsweep.steps = 20\n{line}\n")
@@ -177,6 +195,22 @@ class TestSweepCommand:
         cli.run_sweep(cfg)
         assert grids.count(cfg.grid) == 1
         assert len(grids) == 3  # the base grid, then the refined and the widened one
+
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    @pytest.mark.parametrize("flag,value,key", FLAG_KEYS)
+    def test_flag_sets_its_key(self, tmp_path, flag, value, key, source):
+        path = tmp_path / "run.cfg"
+        path.write_text("preset = hom\n")
+        given = ["--preset", "hom"] if source == "preset" else ["--config", str(path)]
+        args = cli._build_parser().parse_args(["sweep", *given, flag, value])
+        assert cli._config_from_args(args) == config_from_text(f"preset = hom\n{key} = {value}\n")
+
+    def test_preset_flag_overrides_config_file(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
+        cfg.write_text("preset = fig3b\ngrid.points = 256\nsweep.steps = 10\n")
+        assert cli.main(["sweep", "--preset", "hom", "--config", str(cfg), "--out", str(out),
+                         "--no-convergence"]) == 0
+        assert json.loads((tmp_path / "trace.csv.meta.json").read_text())["preset"] == "hom"
 
     def test_deterministic_output(self, tmp_path):
         args = ["sweep", "--preset", "fig3a", "--grid", "512", "--steps", "60",
@@ -225,17 +259,14 @@ class TestVerify:
 
     def test_cross_sign_mutation_caught_by_hom_check(self, monkeypatch):
         def exchange_odd_jsa(setup, grid):
-            jsa = build_jsa(setup, grid)
-            flip = np.sign(jsa.axis[:, None] - jsa.axis[None, :])
-            return JointSpectralAmplitude(axis=jsa.axis, values=jsa.values * flip)
+            nu = grid.axis()
+            return build_jsa(setup, grid) * np.sign(nu[:, None] - nu[None, :])
 
         monkeypatch.setattr(engine, "build_jsa", exchange_odd_jsa)
         passed, _ = dict(checks.registry(quick=True))["hom_closed_form"]()
         assert not passed
 
     def test_tune_phase_mutation_caught_by_sign_check(self, monkeypatch):
-        from dataclasses import replace
-
         def ignore_tune_phase(detuning, etalon, center_frequency):
             return etalon_transfer(detuning, replace(etalon, tune_phase=0.0),
                                    center_frequency)

@@ -15,7 +15,7 @@ from combhom.spectral import (EtalonSpec, FilterSpec, OpticalSetup,
 
 def make_setup(etalon=None, duration=1.4, model=PhaseMatchingModel.FLAT, **pm_kwargs):
     return OpticalSetup(
-        pump=PumpSpec(center_wavelength=393.0, duration_fwhm=duration),
+        pump=PumpSpec(duration_fwhm=duration),
         phase_matching=PhaseMatchingSpec(model=model, **pm_kwargs),
         filter=FilterSpec(center_wavelength=786.0, fwhm=10.0),
         etalon=etalon if etalon is not None else EtalonSpec(enabled=False),
