@@ -104,7 +104,7 @@ def _engine_feynman_signs(quick: bool):
 
 
 def _fft_vs_direct(name: str, quick: bool, traces: dict):
-    """The fast path against the direct quadrature on one preset, on one Engine."""
+    """The chirp-z sweep against the dense sum over h(u) on one preset, on one Engine."""
     cfg = preset_config(name)
     grid = cfg.grid if not quick else FrequencyGrid(1024, cfg.grid.span)
     sweep = cfg.sweep if not quick else DelaySweep(cfg.sweep.start, cfg.sweep.end, 120)

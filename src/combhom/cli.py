@@ -39,7 +39,6 @@ def run_sweep(config: RunConfig, check_convergence: bool = True) -> CoincidenceT
         direct = eng.sweep(config.sweep, direct=True)
         delta = float(np.abs(trace.normalized_rate - direct.normalized_rate).max())
         extra["direct_fft_sup_delta"] = delta
-    del eng  # the refined grids of the convergence report need the memory
 
     if check_convergence:
         report = engine.convergence_report(config.setup, config.sweep, config.grid, trace)

@@ -8,9 +8,10 @@ Evaluates
                        e^{-i (nu_s - nu_i) tau} ] }
 
 by midpoint quadrature on a uniform square detuning grid.  The first term is
-the tau-independent baseline used for normalization; the second is evaluated
-either directly per delay or, for full sweeps, through a chirp-z transform of
-the integrand collapsed along the anti-diagonal u = nu_s - nu_i.
+the tau-independent baseline used for normalization.  The second is the cross
+integrand summed over its diagonals of constant u = nu_s - nu_i into a profile
+h(u), then Re sum_u h(u) e^{-i u tau}: a dense sum over u, or for full sweeps
+a chirp-z transform.
 
 Delay convention: positive tau is extra idler path delay.  The etalon's
 single-pass (half round-trip) delay is absorbed into the tau origin, so the
@@ -33,8 +34,11 @@ NEGATIVE_RATE_TOL = 1e-9
 # Maximum relative sup-norm discrepancy tolerated between the fast and the
 # direct path before the fast path falls back.
 FFT_MATCH_TOL = 1e-6
-# Delays of a fast sweep spot-checked against the direct quadrature.
+# Delays of a fast sweep spot-checked against the dense sum over h(u).
 FFT_CHECK_POINTS = 8
+# Delays per block of the dense sum: its (block, 2n - 1) phase matrix stays
+# near 16 MB at n = 2048 however many delays a sweep has.
+DENSE_BLOCK_DELAYS = 256
 # Largest sup-norm shift of the normalized trace a converged grid allows.
 CONVERGENCE_TOL = 1e-4
 
@@ -105,7 +109,11 @@ class CoincidenceTrace:
 
 
 class Engine:
-    """The baseline and the n x n cross integrand of one (setup, grid), assembled once."""
+    """The baseline and the profile h(u) of one (setup, grid), assembled once.
+
+    `interference`, `rate` and `sweep(direct=True)` are the dense sum over h(u);
+    `sweep` is its chirp-z transform.
+    """
 
     def __init__(self, setup: OpticalSetup, grid: FrequencyGrid):
         if setup.etalon.enabled:
@@ -129,84 +137,72 @@ class Engine:
         cross *= (f2 * fe)[:, None]
         cross *= (f2 * np.conj(fe))[None, :]
         cross *= weight
+        # a fixed diagonal order keeps the sums reproducible
+        offsets = np.arange(nu.size - 1, -nu.size, -1)  # u ascending
+        self._h = np.array([cross.diagonal(o).sum() for o in offsets])
+        self._u = -offsets * (nu[1] - nu[0])
         self.grid = grid
-        self.nu = nu
-        self.cross = cross      # complex (n, n): full tau-independent cross integrand
         # added to tau: half round-trip calibration
         self.delay_offset = 0.5 * setup.etalon.round_trip_time if setup.etalon.enabled else 0.0
 
     def interference(self, tau: float) -> float:
         """Real part of the cross integral at one delay, with Hermiticity check."""
-        phase = np.exp(-1j * self.nu * (tau + self.delay_offset))
-        value = phase @ self.cross @ np.conj(phase)
-        if abs(value.imag) > IMAG_RESIDUE_TOL * self.baseline:
-            raise NumericalConsistencyError(
-                f"interference integral is not real at tau={tau}: imag={value.imag:.3e} "
-                f"(baseline {self.baseline:.3e})")
-        return float(value.real)
+        return float(self._dense(np.array([tau]))[0])
 
     def rate(self, tau: float) -> float:
         """R_c at one delay: baseline minus interference, clamped at round-off zero."""
         taus = np.array([tau])
-        return float(self._trace(taus, self._direct(taus), {}).raw_rate[0])
+        return float(self._trace(taus, self.baseline - self._dense(taus), {}).raw_rate[0])
 
     def profile(self):
-        """Collapse the cross integrand onto u = nu_s - nu_i.
-
-        Returns (u, h) with h(u_k) = sum of the integrand over the diagonal of
-        constant nu_s - nu_i.  The diagonal order is fixed, so sums are
-        reproducible regardless of how callers parallelize around this.
-        """
-        n = self.nu.size
-        spacing = self.nu[1] - self.nu[0]
-        offsets = np.arange(n - 1, -n, -1)  # u ascending
-        h = np.array([self.cross.diagonal(o).sum() for o in offsets])
-        u = -offsets * spacing
-        return u, h
+        """The stored (u, h), u ascending: h(u_k) is the cross integrand summed
+        over the diagonal of constant nu_s - nu_i = u_k."""
+        return self._u, self._h
 
     def sweep(self, sweep: DelaySweep, direct: bool = False) -> CoincidenceTrace:
         """The coincidence trace over a delay sweep.
 
-        The fast path collapses the integrand (profile) and evaluates a
-        chirp-z transform.  It spot-checks FFT_CHECK_POINTS delays against the
-        direct quadrature; if the relative sup-norm discrepancy exceeds
-        FFT_MATCH_TOL the whole sweep falls back to the direct evaluation and
-        the trace metadata records it.  `direct` runs the per-delay quadrature
-        over the full grid, the reference path.
+        The fast path is a chirp-z transform of h(u), spot-checked at
+        FFT_CHECK_POINTS delays against the dense sum over h(u).  Beyond
+        FFT_MATCH_TOL relative sup-norm discrepancy the whole sweep falls back
+        to the dense sum, which `direct` runs, and the metadata records it.
         """
         tau = sweep.delays()
         if direct:
-            return self._trace(tau, self._direct(tau), {"engine": "direct"})
+            return self._trace(tau, self.baseline - self._dense(tau), {"engine": "direct"})
         raw = self.baseline - self._interference_all(tau)
         idx = np.unique(np.linspace(0, tau.size - 1, min(FFT_CHECK_POINTS, tau.size)).astype(int))
-        ref = self._direct(tau[idx])
+        ref = self.baseline - self._dense(tau[idx])
         scale = max(np.abs(ref).max(), self.baseline)
         mismatch = float(np.abs(raw[idx] - ref).max() / scale)
         if mismatch > FFT_MATCH_TOL:
-            return self._trace(tau, self._direct(tau), {
+            return self._trace(tau, self.baseline - self._dense(tau), {
                 "engine": "direct", "fft_fallback": True, "fft_check_mismatch": mismatch})
         return self._trace(tau, raw, {"engine": "fft", "fft_check_mismatch": mismatch})
 
-    def _direct(self, tau: np.ndarray) -> np.ndarray:
-        return np.array([self.baseline - self.interference(t) for t in tau])
+    def _dense(self, tau: np.ndarray) -> np.ndarray:
+        """Re sum_u h(u) e^{-iu(tau + offset)} at each delay, in blocks of delays;
+        refuses an imaginary part above IMAG_RESIDUE_TOL of the baseline, since
+        h(-u) = conj h(u) makes the exact sum real."""
+        tau_eff = tau + self.delay_offset
+        value = np.concatenate([np.exp(-1j * np.outer(tau_eff[k:k + DENSE_BLOCK_DELAYS], self._u))
+                                @ self._h for k in range(0, tau.size, DENSE_BLOCK_DELAYS)])
+        worst = int(np.argmax(np.abs(value.imag)))
+        if abs(value.imag[worst]) > IMAG_RESIDUE_TOL * self.baseline:
+            raise NumericalConsistencyError(
+                f"interference integral is not real at tau={tau[worst]}: "
+                f"imag={value.imag[worst]:.3e} (baseline {self.baseline:.3e})")
+        return value.real
 
     def _interference_all(self, tau: np.ndarray) -> np.ndarray:
-        """Interference term at every delay via the anti-diagonal profile.
-
-        For a uniform delay grid the phase sum over u is a chirp-z transform and is
-        evaluated with the FFT-based algorithm; otherwise it falls back to a dense
-        (but still collapsed, O(n_u * n_tau)) evaluation.
-        """
+        """Interference term at every delay of a uniform sweep, by chirp-z over h(u)."""
         u, h = self.profile()
         tau_eff = tau + self.delay_offset
         du = u[1] - u[0]
-        step = np.diff(tau)
-        uniform = tau.size > 1 and np.allclose(step, step[0], rtol=0.0, atol=1e-12)
-        if uniform:
-            g = h * np.exp(-1j * (u - u[0]) * tau_eff[0])
-            spectrum = czt(g, m=tau.size, w=np.exp(-1j * du * step[0]))
-            return (np.exp(-1j * u[0] * tau_eff) * spectrum).real
-        return (np.exp(-1j * np.outer(tau_eff, u)) @ h).real
+        step = tau[1] - tau[0]
+        g = h * np.exp(-1j * (u - u[0]) * tau_eff[0])
+        spectrum = czt(g, m=tau.size, w=np.exp(-1j * du * step))
+        return (np.exp(-1j * u[0] * tau_eff) * spectrum).real
 
     def _trace(self, tau: np.ndarray, raw: np.ndarray, extra: dict) -> CoincidenceTrace:
         """The trace of raw rates: refuses non-finite or negative ones, zeroes round-off."""
@@ -238,7 +234,7 @@ class ConvergenceReport:
 def convergence_report(setup: OpticalSetup, sweep: DelaySweep, grid: FrequencyGrid,
                        base: CoincidenceTrace) -> ConvergenceReport:
     """Sup-norm shifts of `base`, the normalized trace on `grid`, under grid
-    refinement and widening; free the Engine of `grid` first to bound memory."""
+    refinement and widening."""
     fine = FrequencyGrid(points_per_axis=2 * grid.points_per_axis, span=grid.span)
     wide = FrequencyGrid(points_per_axis=grid.points_per_axis, span=1.5 * grid.span)
     d_points = float(np.abs(Engine(setup, fine).sweep(sweep).normalized_rate

@@ -244,7 +244,9 @@ def build_jsa(setup: OpticalSetup, grid) -> np.ndarray:
     ss = nu[:, None] + nu[None, :]
     dd = nu[:, None] - nu[None, :]
     phi = pump_envelope(ss, setup.pump) * phase_matching(ss, dd, setup.phase_matching)
+    del ss, dd
     peak = np.abs(phi).max()
     if peak == 0.0:
         raise ConfigError("build_jsa: amplitude vanishes everywhere on the grid")
-    return phi / peak
+    phi /= peak
+    return phi

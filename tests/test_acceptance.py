@@ -144,10 +144,9 @@ class TestAcceptance:
                 else:
                     ok = n > 1.0
                 clauses.append((f"dphi_{dphi:.2f}_j{j}_{predicted.value}", ok))
-            del eng
         _report("6 (engine/firing-scheme consistency)", clauses)
 
-    def test_criterion_7_numerical_integrity(self, preset_traces):
+    def test_criterion_7_numerical_integrity(self, preset_traces, midpoint_reference):
         # fft/direct relative sup delta < 1e-6 and convergence within 1e-4, per preset
         passed = _registry_passed({f"{check}_{name}" for name in PRESET_NAMES
                                    for check in ("fft_vs_direct", "convergence")})
@@ -155,15 +154,11 @@ class TestAcceptance:
                    for name in PRESET_NAMES]
         clauses += [(f"convergence_{name}_1e-4", passed[f"convergence_{name}"])
                     for name in PRESET_NAMES]
-        # imaginary residue of the interference integral
+        # imaginary residue of the 2-D cross integral on the fig3a grid
         cfg, _ = preset_traces["fig3a"]
-        eng = Engine(cfg.setup, cfg.grid)
-        residue = 0.0
-        for tau in np.linspace(-0.5, 3.5, 21):
-            phase = np.exp(-1j * eng.nu * (tau + eng.delay_offset))
-            value = phase @ eng.cross @ np.conj(phase)
-            residue = max(residue, abs(value.imag))
-        clauses.append(("imag_residue_1e-9_baseline", residue < 1e-9 * eng.baseline))
+        baseline, integral = midpoint_reference(cfg.setup, cfg.grid, np.linspace(-0.5, 3.5, 21))
+        residue = float(np.abs(integral.imag).max())
+        clauses.append(("imag_residue_1e-9_baseline", residue < 1e-9 * baseline))
         _report("7 (numerical integrity)", clauses)
 
     def test_criterion_8_etalon_elements(self):

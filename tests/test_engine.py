@@ -67,6 +67,13 @@ class TestBaseline:
         assert Engine(with_et, grid).baseline == pytest.approx(
             Engine(HOM_SETUP, grid).baseline, rel=1e-12)
 
+    def test_keeps_no_grid_array(self):
+        # after assembly only the baseline and the O(n) profile h(u) remain
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=256))
+        assert all(np.ndim(value) <= 1 for value in vars(eng).values())
+        u, h = eng.profile()
+        assert u.shape == h.shape == (2 * 256 - 1,)
+
     def test_grid_doubling_converged(self):
         grid = small_grid(FIG3A_SETUP, points=1024)
         fine = FrequencyGrid(2048, grid.span)
@@ -123,19 +130,31 @@ class TestSweeps:
 
     def test_fft_matches_direct(self):
         eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
-        sweep = DelaySweep(-0.5, 2.0, 173)
-        direct = eng.sweep(sweep, direct=True)
-        fast = eng.sweep(sweep)
-        assert np.abs(fast.normalized_rate - direct.normalized_rate).max() < 1e-6
-        assert fast.metadata["engine"] == "fft"
+        # the second sweep takes the dense sum through three blocks of delays
+        for steps in (173, 2 * engine.DENSE_BLOCK_DELAYS + 188):
+            sweep = DelaySweep(-0.5, 2.0, steps)
+            direct = eng.sweep(sweep, direct=True)
+            fast = eng.sweep(sweep)
+            assert np.abs(fast.normalized_rate - direct.normalized_rate).max() < 1e-6
+            assert fast.metadata["engine"] == "fft"
 
-    def test_fft_nonuniform_delays_fallback_path(self):
-        # non-uniform spacing exercises the dense collapsed evaluation
-        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
-        tau = np.array([-0.1, 0.0, 0.05, 0.4])
-        values = eng._interference_all(tau)
-        expected = [eng.interference(t) for t in tau]
-        assert values == pytest.approx(expected, rel=1e-9)
+    @pytest.mark.parametrize("setup", [
+        FIG3A_SETUP, HOM_SETUP,
+        make_setup(etalon=FIG3A_SETUP.etalon, model=PhaseMatchingModel.SINC, crystal_length=3.0,
+                   sum_coefficient=0.05, difference_coefficient=0.1)],
+        ids=["fig3a", "hom", "sinc"])
+    def test_every_path_matches_2d_reference(self, setup, midpoint_reference):
+        # the collapse onto h(u) against a plain 2-D midpoint sum on the same grid
+        grid = small_grid(setup, points=512)
+        sweep = DelaySweep(-0.5, 2.0, 173)
+        baseline, integral = midpoint_reference(setup, grid, sweep.delays())
+        expected = baseline - integral.real
+        eng = Engine(setup, grid)
+        point = np.array([eng.interference(t) for t in sweep.delays()])
+        assert np.abs(point - integral.real).max() < 1e-9 * baseline
+        for direct in (True, False):
+            raw = eng.sweep(sweep, direct=direct).raw_rate
+            assert np.abs(raw - expected).max() < 1e-9 * baseline
 
     def test_fft_mismatch_falls_back_to_direct(self, monkeypatch):
         monkeypatch.setattr(engine, "FFT_MATCH_TOL", 0.0)
@@ -154,12 +173,23 @@ class TestSweeps:
 
     def test_non_finite_rate_refused(self):
         eng = Engine(HOM_SETUP, small_grid(HOM_SETUP, points=256))
-        eng.cross[0, 0] = np.nan
+        eng.profile()[1][0] = np.nan
         for direct in (False, True):
             with pytest.raises(NumericalConsistencyError, match="not finite"):
                 eng.sweep(DelaySweep(-0.2, 0.4, 5), direct=direct)
         with pytest.raises(NumericalConsistencyError, match="not finite"):
             eng.rate(0.0)
+
+    def test_non_hermitian_profile_refused(self):
+        # h(-u) = conj h(u) makes the sum real; break it at one entry
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
+        u, h = eng.profile()
+        h[np.argmin(np.abs(u - 1.0))] += 1e-3j * eng.baseline
+        sweep = DelaySweep(-0.5, 2.0, 101)
+        for call in (lambda: eng.interference(0.3), lambda: eng.sweep(sweep, direct=True),
+                     lambda: eng.sweep(sweep)):
+            with pytest.raises(NumericalConsistencyError, match="not real"):
+                call()
 
     def test_one_sided_features_with_etalon(self, preset_traces):
         _, trace = preset_traces["fig3a"]
