@@ -13,6 +13,11 @@ integrand summed over its diagonals of constant u = nu_s - nu_i into a profile
 h(u), then Re sum_u h(u) e^{-i u tau}: a dense sum over u, or for full sweeps
 a chirp-z transform.
 
+The pump enters both integrands as pump(S)^2, S = nu_s + nu_i, so only the
+band |S| <= S_max of the grid is visited: the baseline and h(u) are summed
+cell by cell over the band, in blocks of diagonals, and no n x n array is
+formed.
+
 Delay convention: positive tau is extra idler path delay.  The etalon's
 single-pass (half round-trip) delay is absorbed into the tau origin, so the
 ordinary HOM dip sits at tau = 0 and recurrences at tau_j = j T / 2.
@@ -20,13 +25,14 @@ ordinary HOM dip sits at tau = 0 and recurrences at tau_j = j T / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import ConfigError, NumericalConsistencyError, ResolutionError
-from .spectral import OpticalSetup, build_jsa, etalon_transfer, filter_amplitude
+from .spectral import (OpticalSetup, etalon_transfer, filter_amplitude, phase_matching,
+                       pump_envelope)
 
 # Tolerances of the engine's internal self-checks, relative to the baseline.
 IMAG_RESIDUE_TOL = 1e-9
@@ -39,11 +45,41 @@ FFT_CHECK_POINTS = 8
 # Delays per block of the dense sum: its (block, 2n - 1) phase matrix stays
 # near 16 MB at n = 2048 however many delays a sweep has.
 DENSE_BLOCK_DELAYS = 256
+# Diagonals per block of the banded assembly.
+DIAGONAL_BLOCK = 256
 # Largest sup-norm shift of the normalized trace a converged grid allows.
 CONVERGENCE_TOL = 1e-4
 
 DEFAULT_POINTS = 2048
 DEFAULT_SPAN_SIGMAS = 5.0
+
+
+def _band_half_width(setup: OpticalSetup, spacing: float, n: int) -> int:
+    """Half-width k, in grid steps of S = nu_s + nu_i, of the band the assembly visits.
+
+    Beyond S_max, pump(S)^2 = exp(-S^2 / (2 sigma_p^2)) <= 1e-16 ((1-R)/(1+R))^2.
+    With |phase matching| <= 1 and |f_e| <= 1, the dropped cells then weigh at
+    most 1e-16 ((1-R)/(1+R))^2 sum f2(s) f2(i) in the baseline and in h(u),
+    while |f_e|^2 >= ((1-R)/(1+R))^2 keeps the baseline at least
+    ((1-R)/(1+R))^2 sum_band pump^2 |phase matching|^2 f2(s) f2(i).
+    """
+    r = setup.etalon.reflectivity if setup.etalon.enabled else 0.0
+    s_max = setup.pump.spectral_sigma * math.sqrt(
+        2.0 * (16.0 * math.log(10.0) + 2.0 * math.log((1.0 + r) / (1.0 - r))))
+    return int(min(s_max / spacing, 2 * n))
+
+
+def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+    """Chirp-z transform X_k = sum_j x_j w^(j k), k < m, by Bluestein's algorithm:
+    w^(j k) = w^(j^2/2) w^(k^2/2) w^(-(k-j)^2/2) turns it into one convolution,
+    done with three FFTs of a power-of-two length >= x.size + m - 1."""
+    x = np.asarray(x)
+    size = x.size
+    chirp = w ** (np.arange(max(m, size)) ** 2 / 2.0)
+    length = 1 << (size + m - 2).bit_length()
+    kernel = np.fft.fft(1.0 / np.concatenate([chirp[size - 1:0:-1], chirp[:m]]), length)
+    y = np.fft.ifft(np.fft.fft(x * chirp[:size], length) * kernel)
+    return y[size - 1:size - 1 + m] * chirp[:m]
 
 
 @dataclass(frozen=True)
@@ -123,24 +159,54 @@ class Engine:
                     f"grid spacing {grid.spacing:.4g} rad/ps does not resolve the etalon "
                     f"(needs <= FSR/8 = {fsr / 8.0:.4g} rad/ps)")
         nu = grid.axis()
-        weight = 0.25 * grid.spacing**2
+        n = nu.size
         f2 = filter_amplitude(nu, setup.filter) ** 2
         fe = etalon_transfer(nu, setup.etalon, setup.center_frequency)
-        phi = build_jsa(setup, grid)
-
-        abs2 = np.abs(phi) ** 2
-        self.baseline = weight * float((f2 * np.abs(fe) ** 2) @ abs2 @ f2)
-        del abs2
+        # one trailing zero each: a block's padding cells index it and add nothing
+        w = np.append(f2 * np.abs(fe) ** 2, 0.0)
+        g = np.append(f2 * fe, 0.0)
+        gc = np.conj(g)
+        f2 = np.append(f2, 0.0)
+        # Cell (a, b) has S = (p - n + 1) h with p = a + b; the band keeps |p - n + 1| <= k.
+        k = _band_half_width(setup, grid.spacing, n)
+        p_min, p_max = max(0, n - 1 - k), min(2 * n - 2, n - 1 + k)
+        s_band = (np.arange(p_min, p_max + 1) - (n - 1)) * grid.spacing
+        pump2 = pump_envelope(s_band, setup.pump) ** 2
+        # a fixed diagonal order keeps the sums reproducible
+        offsets = np.arange(n - 1, -n, -1)  # u ascending; diagonal o holds the cells (a, a + o)
+        self._u = -offsets * (nu[1] - nu[0])
+        h, base, peak2 = [], 0.0, 0.0
+        for first in range(0, offsets.size, DIAGONAL_BLOCK):
+            o = offsets[first:first + DIAGONAL_BLOCK, None]
+            # p runs in steps of 2 over the band, clipped to the grid: 0 <= (p -+ o)/2 < n
+            lo = np.maximum(np.abs(o), p_min)
+            lo += (lo - o) % 2
+            count = (np.minimum(2 * n - 2 - np.abs(o), p_max) - lo) // 2 + 1
+            j = np.arange(count.max())
+            p = lo + 2 * j
+            valid = j < count
+            a = np.where(valid, (p - o) // 2, n)
+            b = np.where(valid, (p + o) // 2, n)
+            band = np.minimum(p, p_max) - p_min
+            s, d = s_band[band], -o * grid.spacing  # nu_s + nu_i, nu_s - nu_i
+            amp = phase_matching(s, d, setup.phase_matching)
+            cross = np.conj(phase_matching(s, -d, setup.phase_matching))
+            amp2 = pump2[band] * np.abs(amp) ** 2
+            peak2 = max(peak2, float(np.max(amp2, where=valid, initial=0.0)))
+            base += float(np.sum(amp2 * w[a] * f2[b]))
+            cross *= amp
+            cross *= pump2[band]
+            cross *= g[a]
+            cross *= gc[b]
+            h.append(cross.sum(axis=1))
+        if peak2 == 0.0:
+            raise ConfigError("joint spectral amplitude vanishes everywhere on the grid")
+        # phi = pump * phase matching, normalised to peak magnitude 1 over the band
+        weight = 0.25 * grid.spacing**2 / peak2
+        self.baseline = weight * base
         if not 0.0 < self.baseline < np.inf:
             raise NumericalConsistencyError(f"baseline rate {self.baseline:.6e} is not finite and > 0")
-        cross = phi * np.conj(phi.T)
-        cross *= (f2 * fe)[:, None]
-        cross *= (f2 * np.conj(fe))[None, :]
-        cross *= weight
-        # a fixed diagonal order keeps the sums reproducible
-        offsets = np.arange(nu.size - 1, -nu.size, -1)  # u ascending
-        self._h = np.array([cross.diagonal(o).sum() for o in offsets])
-        self._u = -offsets * (nu[1] - nu[0])
+        self._h = weight * np.concatenate(h)
         self.grid = grid
         # added to tau: half round-trip calibration
         self.delay_offset = 0.5 * setup.etalon.round_trip_time if setup.etalon.enabled else 0.0

@@ -10,7 +10,7 @@ import combhom.engine as engine
 from combhom import checks, cli
 from combhom.config import config_from_text, load_config, preset_config
 from combhom.errors import ConfigError
-from combhom.spectral import FilterSpec, build_jsa, etalon_transfer
+from combhom.spectral import FilterSpec, etalon_transfer, phase_matching
 
 FULL_CHECKS = [
     "fsr_from_geometry", "anti_resonance_magnitude", "parseval_mean_intensity",
@@ -258,11 +258,11 @@ class TestVerify:
         assert QUICK_CHECKS == FULL_CHECKS[:7]
 
     def test_cross_sign_mutation_caught_by_hom_check(self, monkeypatch):
-        def exchange_odd_jsa(setup, grid):
-            nu = grid.axis()
-            return build_jsa(setup, grid) * np.sign(nu[:, None] - nu[None, :])
+        def exchange_odd(sum_detuning, diff_detuning, pm):
+            # diff_detuning is nu_s - nu_i, so the factor is sign(nu_s - nu_i)
+            return phase_matching(sum_detuning, diff_detuning, pm) * np.sign(diff_detuning)
 
-        monkeypatch.setattr(engine, "build_jsa", exchange_odd_jsa)
+        monkeypatch.setattr(engine, "phase_matching", exchange_odd)
         passed, _ = dict(checks.registry(quick=True))["hom_closed_form"]()
         assert not passed
 

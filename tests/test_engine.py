@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +79,17 @@ class TestBaseline:
         u, h = eng.profile()
         assert u.shape == h.shape == (2 * 256 - 1,)
 
+    def test_assembly_memory_stays_off_the_grid(self):
+        # an n x n complex array alone would be 256 MiB at n = 4096
+        grid = FrequencyGrid(4096, default_grid(FIG3A_SETUP).span)
+        tracemalloc.start()
+        try:
+            Engine(FIG3A_SETUP, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_grid_doubling_converged(self):
         grid = small_grid(FIG3A_SETUP, points=1024)
         fine = FrequencyGrid(2048, grid.span)
@@ -141,10 +157,14 @@ class TestSweeps:
     @pytest.mark.parametrize("setup", [
         FIG3A_SETUP, HOM_SETUP,
         make_setup(etalon=FIG3A_SETUP.etalon, model=PhaseMatchingModel.SINC, crystal_length=3.0,
-                   sum_coefficient=0.05, difference_coefficient=0.1)],
-        ids=["fig3a", "hom", "sinc"])
+                   sum_coefficient=0.05, difference_coefficient=0.1),
+        make_setup(etalon=replace(FIG3A_SETUP.etalon, reflectivity=0.98), duration=20.0),
+        make_setup(etalon=FIG3A_SETUP.etalon, duration=0.02)],
+        ids=["fig3a", "hom", "sinc", "narrow-band-r98", "band-covers-grid"])
     def test_every_path_matches_2d_reference(self, setup, midpoint_reference):
-        # the collapse onto h(u) against a plain 2-D midpoint sum on the same grid
+        # the banded collapse onto h(u) against a plain 2-D midpoint sum over
+        # the whole grid; a 20 ps pump keeps a band of a few cells, a 0.02 ps
+        # pump a band wider than the grid
         grid = small_grid(setup, points=512)
         sweep = DelaySweep(-0.5, 2.0, 173)
         baseline, integral = midpoint_reference(setup, grid, sweep.delays())
@@ -195,6 +215,26 @@ class TestSweeps:
         _, trace = preset_traces["fig3a"]
         featured = np.abs(trace.normalized_rate - 1.0) > 0.05
         assert trace.tau[featured].min() >= -0.1
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("size,m", [(600, 173), (1000, 1000), (4095, 600), (37, 150)],
+                             ids=["m<n", "m=n", "fig3a", "m>n"])
+    def test_matches_scipy(self, rng, size, m):
+        from scipy.signal import czt as scipy_czt
+        x = rng.normal(size=size) + 1j * rng.normal(size=size)
+        w = np.exp(-1j * rng.uniform(1e-4, 1e-2))
+        got = engine.czt(x, m, w)
+        assert got.shape == (m,)
+        assert np.abs(got - scipy_czt(x, m=m, w=w)).max() < 1e-13 * np.abs(x).sum()
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = ("import sys, combhom.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "[]"
 
 
 class TestConvergence:
