@@ -14,9 +14,13 @@ h(u), then Re sum_u h(u) e^{-i u tau}: a dense sum over u, or for full sweeps
 a chirp-z transform.
 
 The pump enters both integrands as pump(S)^2, S = nu_s + nu_i, so only the
-band |S| <= S_max of the grid is visited: the baseline and h(u) are summed
-cell by cell over the band, in blocks of diagonals, and no n x n array is
-formed.
+band |S| <= S_max of the grid is visited, and no n x n array is formed.  The
+diagonals of one parity of b - a, cell (a, b), meet the band in the same
+columns p = a + b; over a block of such diagonals the factors of a and of b
+are read as strided views of zero-padded vectors, and the baseline and h(u)
+are their products reduced with `np.einsum`.  The dense sum splits each
+phase e^{-iu tau} into a coarse and a fine factor, so a delay takes about
+2 sqrt(2n) exponentials instead of 2n - 1.
 
 Delay convention: positive tau is extra idler path delay.  The etalon's
 single-pass (half round-trip) delay is absorbed into the tau origin, so the
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericalConsistencyError, ResolutionError
 from .spectral import (OpticalSetup, etalon_transfer, filter_amplitude, phase_matching,
@@ -42,10 +47,11 @@ NEGATIVE_RATE_TOL = 1e-9
 FFT_MATCH_TOL = 1e-6
 # Delays of a fast sweep spot-checked against the dense sum over h(u).
 FFT_CHECK_POINTS = 8
-# Delays per block of the dense sum: its (block, 2n - 1) phase matrix stays
-# near 16 MB at n = 2048 however many delays a sweep has.
+# Delays per block of the dense sum: its phase tables, about 2 sqrt(2n)
+# entries per delay, stay under 1 MB at n = 2048 however many delays a sweep has.
 DENSE_BLOCK_DELAYS = 256
-# Diagonals per block of the banded assembly.
+# Diagonals per block of the banded assembly, all of one parity of b - a: a
+# block is DIAGONAL_BLOCK x (band cells per diagonal) cells.
 DIAGONAL_BLOCK = 256
 # Largest sup-norm shift of the normalized trace a converged grid allows.
 CONVERGENCE_TOL = 1e-4
@@ -162,43 +168,51 @@ class Engine:
         n = nu.size
         f2 = filter_amplitude(nu, setup.filter) ** 2
         fe = etalon_transfer(nu, setup.etalon, setup.center_frequency)
-        # one trailing zero each: a block's padding cells index it and add nothing
-        w = np.append(f2 * np.abs(fe) ** 2, 0.0)
-        g = np.append(f2 * fe, 0.0)
-        gc = np.conj(g)
-        f2 = np.append(f2, 0.0)
         # Cell (a, b) has S = (p - n + 1) h with p = a + b; the band keeps |p - n + 1| <= k.
         k = _band_half_width(setup, grid.spacing, n)
         p_min, p_max = max(0, n - 1 - k), min(2 * n - 2, n - 1 + k)
-        s_band = (np.arange(p_min, p_max + 1) - (n - 1)) * grid.spacing
-        pump2 = pump_envelope(s_band, setup.pump) ** 2
-        # a fixed diagonal order keeps the sums reproducible
-        offsets = np.arange(n - 1, -n, -1)  # u ascending; diagonal o holds the cells (a, a + o)
-        self._u = -offsets * (nu[1] - nu[0])
-        h, base, peak2 = [], 0.0, 0.0
-        for first in range(0, offsets.size, DIAGONAL_BLOCK):
-            o = offsets[first:first + DIAGONAL_BLOCK, None]
-            # p runs in steps of 2 over the band, clipped to the grid: 0 <= (p -+ o)/2 < n
-            lo = np.maximum(np.abs(o), p_min)
-            lo += (lo - o) % 2
-            count = (np.minimum(2 * n - 2 - np.abs(o), p_max) - lo) // 2 + 1
-            j = np.arange(count.max())
-            p = lo + 2 * j
-            valid = j < count
-            a = np.where(valid, (p - o) // 2, n)
-            b = np.where(valid, (p + o) // 2, n)
-            band = np.minimum(p, p_max) - p_min
-            s, d = s_band[band], -o * grid.spacing  # nu_s + nu_i, nu_s - nu_i
-            amp = phase_matching(s, d, setup.phase_matching)
-            cross = np.conj(phase_matching(s, -d, setup.phase_matching))
-            amp2 = pump2[band] * np.abs(amp) ** 2
-            peak2 = max(peak2, float(np.max(amp2, where=valid, initial=0.0)))
-            base += float(np.sum(amp2 * w[a] * f2[b]))
-            cross *= amp
-            cross *= pump2[band]
-            cross *= g[a]
-            cross *= gc[b]
-            h.append(cross.sum(axis=1))
+        width = (p_max - p_min) // 2 + 1  # band cells p = p_0 + 2j of a diagonal, p_0 - p_min = 0 or 1
+
+        def view(x):
+            # row n + c, column j reads x[c + j], or 0 where c + j is off the grid
+            pad = np.zeros_like(x)
+            return sliding_window_view(np.concatenate([pad, x, pad]), width)
+
+        w, f2, g, gc = (view(x) for x in (f2 * np.abs(fe) ** 2, f2, f2 * fe, np.conj(f2 * fe)))
+        inside = view(np.ones(n, dtype=bool))
+        self._u = np.arange(-(n - 1), n) * grid.spacing
+        h = np.empty(2 * n - 1, dtype=complex)
+        base, peak2 = 0.0, 0.0
+        for first in (0, 1):
+            # The diagonals o = b - a of one parity, u = -o h ascending.  On row r
+            # (o = o_0 - 2r) and column j (p = p_0 + 2j), a = a_0 + r + j and
+            # b = b_0 - r + j: the a factors are views with row step +1, the b ones -1
+            # (with n zeros of padding no slice bound falls below 0).
+            o = np.arange(n - 1 - first, -n, -2)
+            p = p_min + (o[0] - p_min) % 2 + 2 * np.arange(width)
+            a0, b0 = n + (p[0] - o[0]) // 2, n + (p[0] + o[0]) // 2
+            s = (p - (n - 1)) * grid.spacing
+            pump2 = np.where(p <= p_max, pump_envelope(s, setup.pump) ** 2, 0.0)
+            for r in range(0, o.size, DIAGONAL_BLOCK):
+                block = o[r:r + DIAGONAL_BLOCK]
+                rows = block.size
+                # the columns inside the grid on the block's row of least |o|
+                near = np.abs(block).min()
+                cols = slice(max(0, (near - p[0]) // 2),
+                             min(width, (2 * n - 2 - near - p[0]) // 2 + 1))
+                at_a = (slice(a0 + r, a0 + r + rows), cols)
+                at_b = (slice(b0 - r, b0 - r - rows, -1), cols)
+                d = (-block * grid.spacing)[:, None]  # nu_s - nu_i
+                amp = phase_matching(s[cols], d, setup.phase_matching)
+                cross = np.conj(phase_matching(s[cols], -d, setup.phase_matching))
+                amp2 = pump2[cols] * np.abs(amp) ** 2
+                in_grid = inside[at_a] & inside[at_b]
+                peak2 = max(peak2, float(np.max(amp2, where=in_grid, initial=0.0)))
+                base += float(np.einsum("rj,rj,rj->", amp2, w[at_a], f2[at_b]))
+                cross *= amp
+                cross *= pump2[cols]
+                h[first + 2 * r:first + 2 * (r + rows):2] = np.einsum(
+                    "rj,rj,rj->r", cross, g[at_a], gc[at_b])
         if peak2 == 0.0:
             raise ConfigError("joint spectral amplitude vanishes everywhere on the grid")
         # phi = pump * phase matching, normalised to peak magnitude 1 over the band
@@ -206,7 +220,7 @@ class Engine:
         self.baseline = weight * base
         if not 0.0 < self.baseline < np.inf:
             raise NumericalConsistencyError(f"baseline rate {self.baseline:.6e} is not finite and > 0")
-        self._h = weight * np.concatenate(h)
+        self._h = weight * h
         self.grid = grid
         # added to tau: half round-trip calibration
         self.delay_offset = 0.5 * setup.etalon.round_trip_time if setup.etalon.enabled else 0.0
@@ -249,10 +263,31 @@ class Engine:
     def _dense(self, tau: np.ndarray) -> np.ndarray:
         """Re sum_u h(u) e^{-iu(tau + offset)} at each delay, in blocks of delays;
         refuses an imaginary part above IMAG_RESIDUE_TOL of the baseline, since
-        h(-u) = conj h(u) makes the exact sum real."""
+        h(-u) = conj h(u) makes the exact sum real.
+
+        With u = k du, |k| <= N, and k = K q + r, |r| <= R = isqrt(N / 2),
+        K = 2R + 1, the phase e^{-iu tau} = e^{-i q K du tau} e^{-i r du tau}:
+        each delay takes (2Q + 1) + K exponentials instead of 2N + 1.  The q
+        and r ranges are symmetric, so the phases of k and -k are exact
+        conjugates, and each delay's sum runs in an order of its own.
+        """
+        n_max = self._h.size // 2
+        r_max = math.isqrt(n_max // 2)
+        period = 2 * r_max + 1
+        q_max = -(-(n_max - r_max) // period)
+        # table[r + R, q + Q] = h(k du) with k = K q + r, zero beyond |k| <= N
+        pad = q_max * period + r_max - n_max
+        table = np.concatenate([np.zeros(pad), self._h, np.zeros(pad)])
+        table = table.reshape(2 * q_max + 1, period).T
+        fine = np.arange(-r_max, r_max + 1) * self.grid.spacing
+        coarse = np.arange(-q_max, q_max + 1) * (period * self.grid.spacing)
         tau_eff = tau + self.delay_offset
-        value = np.concatenate([np.exp(-1j * np.outer(tau_eff[k:k + DENSE_BLOCK_DELAYS], self._u))
-                                @ self._h for k in range(0, tau.size, DENSE_BLOCK_DELAYS)])
+        value = np.empty(tau.size, dtype=complex)
+        for start in range(0, tau.size, DENSE_BLOCK_DELAYS):
+            t = tau_eff[start:start + DENSE_BLOCK_DELAYS, None]
+            partial = np.einsum("tr,rq->tq", np.exp(-1j * t * fine), table)
+            value[start:start + DENSE_BLOCK_DELAYS] = np.einsum(
+                "tq,tq->t", np.exp(-1j * t * coarse), partial)
         worst = int(np.argmax(np.abs(value.imag)))
         if abs(value.imag[worst]) > IMAG_RESIDUE_TOL * self.baseline:
             raise NumericalConsistencyError(
@@ -264,7 +299,7 @@ class Engine:
         """Interference term at every delay of a uniform sweep, by chirp-z over h(u)."""
         u, h = self.profile()
         tau_eff = tau + self.delay_offset
-        du = u[1] - u[0]
+        du = self.grid.spacing
         step = tau[1] - tau[0]
         g = h * np.exp(-1j * (u - u[0]) * tau_eff[0])
         spectrum = czt(g, m=tau.size, w=np.exp(-1j * du * step))

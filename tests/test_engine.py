@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import combhom.engine as engine
+from combhom import spectral
 from combhom.config import preset_config
 from combhom.engine import (DelaySweep, Engine, FrequencyGrid, convergence_report,
                             default_grid)
@@ -33,6 +34,8 @@ def small_grid(setup, points=512):
 
 HOM_SETUP = make_setup()
 FIG3A_SETUP = make_setup(etalon=etalon_from_geometry(100.0, 0.0, 0.9, 0.0))
+SINC_SETUP = make_setup(etalon=FIG3A_SETUP.etalon, model=PhaseMatchingModel.SINC,
+                        crystal_length=3.0, sum_coefficient=0.05, difference_coefficient=0.1)
 
 
 class TestGrid:
@@ -154,18 +157,26 @@ class TestSweeps:
             assert np.abs(fast.normalized_rate - direct.normalized_rate).max() < 1e-6
             assert fast.metadata["engine"] == "fft"
 
-    @pytest.mark.parametrize("setup", [
-        FIG3A_SETUP, HOM_SETUP,
-        make_setup(etalon=FIG3A_SETUP.etalon, model=PhaseMatchingModel.SINC, crystal_length=3.0,
-                   sum_coefficient=0.05, difference_coefficient=0.1),
-        make_setup(etalon=replace(FIG3A_SETUP.etalon, reflectivity=0.98), duration=20.0),
-        make_setup(etalon=FIG3A_SETUP.etalon, duration=0.02)],
-        ids=["fig3a", "hom", "sinc", "narrow-band-r98", "band-covers-grid"])
-    def test_every_path_matches_2d_reference(self, setup, midpoint_reference):
+    @pytest.mark.parametrize("setup,points", [
+        pytest.param(FIG3A_SETUP, 512, id="fig3a"),
+        pytest.param(HOM_SETUP, 512, id="hom"),
+        pytest.param(SINC_SETUP, 512, id="sinc"),
+        pytest.param(make_setup(etalon=replace(FIG3A_SETUP.etalon, reflectivity=0.98),
+                                duration=20.0), 512, id="narrow-band-r98"),
+        pytest.param(make_setup(etalon=FIG3A_SETUP.etalon, duration=0.02), 512,
+                     id="band-covers-grid"),
+        pytest.param(HOM_SETUP, 16, id="hom-n16"),
+        pytest.param(HOM_SETUP, 18, id="hom-n18"),
+        pytest.param(FIG3A_SETUP, 514, id="fig3a-n514"),
+        pytest.param(replace(SINC_SETUP, pump=PumpSpec(duration_fwhm=0.2)), 512,
+                     id="sinc-0.2ps-pump")])
+    def test_every_path_matches_2d_reference(self, setup, points, midpoint_reference):
         # the banded collapse onto h(u) against a plain 2-D midpoint sum over
         # the whole grid; a 20 ps pump keeps a band of a few cells, a 0.02 ps
-        # pump a band wider than the grid
-        grid = small_grid(setup, points=512)
+        # pump a band wider than the grid.  n = 16 and 18 start the band on
+        # either parity of a + b and leave the dense sum's phase table with
+        # two padding cells and none.
+        grid = small_grid(setup, points=points)
         sweep = DelaySweep(-0.5, 2.0, 173)
         baseline, integral = midpoint_reference(setup, grid, sweep.delays())
         expected = baseline - integral.real
@@ -175,6 +186,33 @@ class TestSweeps:
         for direct in (True, False):
             raw = eng.sweep(sweep, direct=direct).raw_rate
             assert np.abs(raw - expected).max() < 1e-9 * baseline
+
+    def test_grid_edges_count_in_full(self, midpoint_reference):
+        # a span of one filter sigma keeps the filter at e^{-1/2} of its peak on
+        # the grid's edge, so a cell dropped or doubled there shows
+        setup = make_setup(duration=0.02)
+        grid = FrequencyGrid(64, setup.filter.intensity_sigma)
+        tau = np.linspace(-2.0, 2.0, 41)
+        baseline, integral = midpoint_reference(setup, grid, tau)
+        eng = Engine(setup, grid)
+        assert eng.baseline == pytest.approx(baseline, rel=1e-12)
+        point = np.array([eng.interference(t) for t in tau])
+        assert np.abs(point - integral.real).max() < 1e-12 * baseline
+
+    def test_peak_is_taken_on_the_grid(self, monkeypatch, midpoint_reference):
+        # phase matching 1e3 off the grid (|S| + |D| > 2 span), where the band's
+        # blocks reach past the grid's corners, must not set phi's normalisation
+        setup = make_setup(duration=0.02)
+        grid = small_grid(setup, points=64)
+
+        def off_grid_spike(s, d, pm):
+            return np.where(np.abs(s) + np.abs(d) > 2.0 * grid.span + 0.5 * grid.spacing,
+                            1e3 + 0j, 1.0 + 0j)
+
+        monkeypatch.setattr(engine, "phase_matching", off_grid_spike)
+        monkeypatch.setattr(spectral, "phase_matching", off_grid_spike)
+        baseline, _ = midpoint_reference(setup, grid, [0.0])
+        assert Engine(setup, grid).baseline == pytest.approx(baseline, rel=1e-12)
 
     def test_fft_mismatch_falls_back_to_direct(self, monkeypatch):
         monkeypatch.setattr(engine, "FFT_MATCH_TOL", 0.0)
@@ -215,6 +253,53 @@ class TestSweeps:
         _, trace = preset_traces["fig3a"]
         featured = np.abs(trace.normalized_rate - 1.0) > 0.05
         assert trace.tau[featured].min() >= -0.1
+
+
+class TestDenseSum:
+    @pytest.fixture(scope="class")
+    def fig3a(self):
+        cfg = preset_config("fig3a")
+        return cfg, Engine(cfg.setup, cfg.grid)
+
+    def test_matches_long_double_sum(self, fig3a):
+        # Re sum_k h_k e^{-i k du tau} in extended precision, with u = k * grid.spacing
+        cfg, eng = fig3a
+        _, h = eng.profile()
+        n = cfg.grid.points_per_axis
+        u = np.arange(-(n - 1), n).astype(np.longdouble) * np.longdouble(cfg.grid.spacing)
+        re, im = h.real.astype(np.longdouble), h.imag.astype(np.longdouble)
+        for tau in np.linspace(-0.5, 3.5, 21):
+            phase = u * (np.longdouble(tau) + np.longdouble(eng.delay_offset))
+            exact = float(np.sum(re * np.cos(phase) + im * np.sin(phase)))
+            assert abs(eng.interference(tau) - exact) <= 1e-14 * eng.baseline
+
+    def test_conjugate_phases_keep_the_sum_real(self, fig3a, monkeypatch):
+        # the phases of u and -u are exact conjugates, so |Im| stays at round-off
+        cfg, eng = fig3a
+        monkeypatch.setattr(engine, "IMAG_RESIDUE_TOL", 1e-14)
+        assert eng.sweep(cfg.sweep, direct=True).metadata["engine"] == "direct"
+
+    @pytest.mark.parametrize("k", [1, 40, 511])
+    def test_hermitian_pair_sums_to_a_real_number(self, monkeypatch, k):
+        # h(-u) = conj h(u) at one pair +-k du only: with conjugate phases the
+        # two terms are exact conjugates and the imaginary part is exactly 0
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
+        u, h = eng.profile()
+        mid = h.size // 2
+        h[:] = 0.0
+        h[mid + k], h[mid - k] = 0.3 - 0.7j, 0.3 + 0.7j
+        monkeypatch.setattr(engine, "IMAG_RESIDUE_TOL", 0.0)
+        for tau in (-0.37, 0.0, 1.9, 3.3):
+            phase = u[mid + k] * (tau + eng.delay_offset)
+            expected = 2.0 * (0.3 * math.cos(phase) - 0.7 * math.sin(phase))
+            assert eng.interference(tau) == pytest.approx(expected, abs=1e-12)
+
+    def test_blocks_of_delays_equal_point_calls(self):
+        eng = Engine(FIG3A_SETUP, small_grid(FIG3A_SETUP, points=512))
+        sweep = DelaySweep(-0.5, 2.0, 2 * engine.DENSE_BLOCK_DELAYS + 188)
+        tau, raw = sweep.delays(), eng.sweep(sweep, direct=True).raw_rate
+        for i in (0, 255, 256, tau.size - 1):
+            assert raw[i] == eng.rate(tau[i])
 
 
 class TestChirpZ:
