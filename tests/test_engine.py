@@ -261,6 +261,9 @@ class TestDenseSum:
         cfg = preset_config("fig3a")
         return cfg, Engine(cfg.setup, cfg.grid)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is float64 on this platform (MSVC, macOS "
+                               "arm64), so it gives no more precise reference")
     def test_matches_long_double_sum(self, fig3a):
         # Re sum_k h_k e^{-i k du tau} in extended precision, with u = k * grid.spacing
         cfg, eng = fig3a
@@ -274,7 +277,9 @@ class TestDenseSum:
             assert abs(eng.interference(tau) - exact) <= 1e-14 * eng.baseline
 
     def test_conjugate_phases_keep_the_sum_real(self, fig3a, monkeypatch):
-        # the phases of u and -u are exact conjugates, so |Im| stays at round-off
+        # end to end: a whole direct fig3a sweep keeps |Im| under 1e-14 of the
+        # baseline.  A one-sided phase split stays under this too (1.3e-15);
+        # test_hermitian_pair_sums_to_a_real_number is the check that catches it
         cfg, eng = fig3a
         monkeypatch.setattr(engine, "IMAG_RESIDUE_TOL", 1e-14)
         assert eng.sweep(cfg.sweep, direct=True).metadata["engine"] == "direct"

@@ -1,6 +1,6 @@
 """Per-stage wall time and tracemalloc peak of the engine on the fig3a preset.
 
-    python3 tools/bench_stages.py SRC --label NAME [--out BENCH_9.json] [--repeat 5]
+    python3 tools/bench_stages.py SRC --label NAME [--out BENCH_9.json]
 
 SRC is the ``src`` directory of a combhom checkout; its ``combhom`` package is
 imported, so two checkouts can be measured on one machine and compared.  The
@@ -9,7 +9,7 @@ the preset's 600 delays (``sweep(direct=True)``), the chirp-z sweep
 (``sweep()``, its 8-delay spot-check included) and ``convergence_report``, all
 on fig3a, plus the assembly of two wide pump bands: a 0.02 ps pump at n = 2048
 and sinc phase matching at n = 4096.  Each stage records the best wall time of
-``--repeat`` runs and the tracemalloc peak of one more run.  The result is
+``REPEAT`` runs and the tracemalloc peak of one more run.  The result is
 stored under ``--label`` in the ``--out`` JSON file, whose other labels are
 kept.
 """
@@ -26,10 +26,13 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+# best-of-5 throughout, so that numbers in one BENCH file compare
+REPEAT = 5
 
-def _measure(fn, repeat):
+
+def _measure(fn):
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -42,7 +45,7 @@ def _measure(fn, repeat):
     return {"best_s": round(best, 6), "peak_mib": round(peak / 2**20, 3)}
 
 
-def stages(repeat):
+def stages():
     from combhom.config import preset_config
     from combhom.engine import Engine, FrequencyGrid, convergence_report
     from combhom.spectral import PhaseMatchingModel, PhaseMatchingSpec
@@ -64,7 +67,7 @@ def stages(repeat):
         "engine_pump_0.02ps_n2048": lambda: Engine(broad, FrequencyGrid(2048, grid.span)),
         "engine_sinc_n4096": lambda: Engine(sinc, FrequencyGrid(4096, grid.span)),
     })
-    return {name: _measure(fn, repeat) for name, fn in runs.items()}
+    return {name: _measure(fn) for name, fn in runs.items()}
 
 
 def main(argv=None):
@@ -72,13 +75,12 @@ def main(argv=None):
     parser.add_argument("src", help="src directory of the combhom checkout to measure")
     parser.add_argument("--label", required=True, help="key of this measurement in --out")
     parser.add_argument("--out", default="BENCH_9.json")
-    parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
 
     result = {
-        "stages": stages(args.repeat),
+        "stages": stages(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
